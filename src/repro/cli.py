@@ -112,17 +112,8 @@ def _request(args):
         effort=args.effort,
         resume=bool(getattr(args, "resume", False)),
         deadline=getattr(args, "deadline", None),
-        sim_engine=getattr(args, "sim_engine", None),
         crash_at_step=getattr(args, "crash_at_step", None),
         crash_point=getattr(args, "crash_point", "mid"))
-
-
-def _apply_sim_engine(args) -> None:
-    """Make ``--sim-engine`` the process default for ambient kernels."""
-    name = getattr(args, "sim_engine", None)
-    if name:
-        from repro.simengine import set_default_engine
-        set_default_engine(name)
 
 
 def cmd_compile(args) -> int:
@@ -130,7 +121,6 @@ def cmd_compile(args) -> int:
             and not getattr(args, "cache_dir", None):
         raise SystemExit("--resume needs --cache-dir (the journal lives "
                          "in the store)")
-    _apply_sim_engine(args)
     tracer = _tracer(args)
     service = _service(args, tracer)
     try:
@@ -281,7 +271,6 @@ def cmd_edit(args) -> int:
 
 
 def cmd_run(args) -> int:
-    _apply_sim_engine(args)
     tracer = _tracer(args)
     service = _service(args, tracer)
     try:
@@ -407,7 +396,6 @@ def cmd_submit(args) -> int:
                 tenant=args.tenant, session=args.session,
                 priority=args.priority, deadline=args.deadline,
                 cost=args.cost, edit_operator=args.edit_operator,
-                sim_engine=args.sim_engine,
                 crash_at_step=getattr(args, "crash_at_step", None))
         except ServiceError as exc:
             if exc.kind not in ("overloaded", "draining"):
@@ -571,12 +559,6 @@ def build_parser() -> argparse.ArgumentParser:
     compile_p.add_argument("--manifest", metavar="FILE", default=None,
                            help="write the build manifest (step -> "
                                 "content key) as JSON, for diffing")
-    compile_p.add_argument("--sim-engine", default=None,
-                           choices=("scalar", "vector"),
-                           help="simulation engine for the placer/ISS "
-                                "kernels; 'vector' uses the numpy "
-                                "twins (bit-identical results, faster "
-                                "at scale)")
     # Crash-injection hooks for the resume smoke tests: SIGKILL the
     # process at the Nth cache-miss step.  Deliberately undocumented.
     compile_p.add_argument("--crash-at-step", type=int, default=None,
@@ -618,11 +600,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--workers", "-j", type=int, default=None,
                        help="run independent build steps on this many "
                             "worker processes")
-    run_p.add_argument("--sim-engine", default=None,
-                       choices=("scalar", "vector"),
-                       help="simulation engine for the placer/ISS/NoC "
-                            "kernels (bit-identical; vector is faster "
-                            "at scale)")
     run_p.add_argument("--trace", metavar="FILE", default=None,
                        help="write a Chrome trace-event JSON of the "
                             "compile + configure + run")
@@ -750,10 +727,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "request in the deadline class")
     submit_p.add_argument("--cost", type=int, default=1,
                           help="scheduler slots this request occupies")
-    submit_p.add_argument("--sim-engine", default=None,
-                          choices=("scalar", "vector"),
-                          help="simulation engine for this request's "
-                               "placer/ISS kernels (bit-identical)")
     submit_p.add_argument("--edit-operator", default=None,
                           metavar="OP",
                           help="submit an incremental edit of this "

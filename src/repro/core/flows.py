@@ -39,7 +39,6 @@ from repro.dataflow.simulator import FunctionalSimulator
 from repro.dataflow.cycle_sim import CycleSimulator
 from repro.fabric.bitstream import Bitstream
 from repro.fabric.device import XCU50
-from repro.simengine import resolve_engine
 from repro.fabric.page import Page
 from repro.fabric.shell import Overlay
 from repro.hls import tech
@@ -470,16 +469,14 @@ def _softcore_page_image(page: Page, compiled: CompiledOperator,
 def _build_exec_graph(project: Project,
                       riscv_builds: Dict[str, CompiledOperator],
                       telemetry: Dict[str, object],
-                      cycle_profile=None,
-                      sim_engine: Optional[str] = None) -> DataflowGraph:
+                      cycle_profile=None) -> DataflowGraph:
     """Graph whose bodies reflect the mapping (interpreter vs. ISS)."""
     graph = project.graph
     out = DataflowGraph(graph.name)
     for name, op in graph.operators.items():
         if name in riscv_builds:
             body = riscv_builds[name].make_body(telemetry=telemetry,
-                                                cycles=cycle_profile,
-                                                engine=sim_engine)
+                                                cycles=cycle_profile)
         else:
             body = op.body           # sample-scale interpreter body
         out.add(Operator(name, body, op.inputs, op.outputs, op.target,
@@ -535,7 +532,7 @@ class O1Flow:
                  model: CompileTimeModel = DEFAULT_MODEL,
                  effort: float = 1.0, seed: int = 1,
                  softcore_cycles: Optional[Dict[str, int]] = None,
-                 faults=None, sim_engine: Optional[str] = None):
+                 faults=None):
         self.overlay = overlay or Overlay()
         self.cluster = cluster or CompileCluster()
         self.model = model
@@ -545,11 +542,6 @@ class O1Flow:
         #: unpipelined PicoRV32; see ``softcore.cpu.PIPELINED_CYCLES``).
         self.softcore_cycles = softcore_cycles
         self.faults = faults
-        #: Simulation engine (``scalar``/``vector``) for the placer and
-        #: ISS; ``None`` resolves ambient state at compile time.  Both
-        #: engines are bit-identical, so this is deliberately *not*
-        #: part of any step content key.
-        self.sim_engine = sim_engine
 
     def compile(self, project: Project,
                 engine: Optional[BuildEngine] = None) -> FlowBuild:
@@ -559,10 +551,6 @@ class O1Flow:
         tracer = _engine_tracer(engine)
         wall_t0 = tracer.now() if tracer.enabled else 0.0
         flow_base = tracer.modeled_time()
-        # Resolve once so the choice survives the pickle boundary into
-        # ParallelBuildEngine workers (which have their own ambient
-        # engine state) and body execution on scheduler threads.
-        sim_engine = resolve_engine(self.sim_engine)
 
         artifacts: Dict[str, OperatorArtifacts] = {}
         estimates: Dict[str, ResourceEstimate] = {}
@@ -653,8 +641,7 @@ class O1Flow:
                 (artifacts[name].netlist, page.page_type.grid()),
                 {"context_luts": shell.context_luts,
                  "threads": self.cluster.threads_per_node,
-                 "seed": self.seed, "effort": self.effort,
-                 "engine": sim_engine}))
+                 "seed": self.seed, "effort": self.effort}))
         impls = dict(zip((s.name for s in impl_steps),
                          engine.step_batch(impl_steps)))
 
@@ -752,8 +739,7 @@ class O1Flow:
         config = build_link_configuration(graph, page_of)
         telemetry: Dict[str, object] = {}
         exec_graph = _build_exec_graph(project, riscv_builds, telemetry,
-                                       self.softcore_cycles,
-                                       sim_engine=sim_engine)
+                                       self.softcore_cycles)
 
         performance = self._estimate_performance(
             project, schedules, config, riscv_builds, exec_graph,
@@ -921,15 +907,12 @@ class O3Flow:
 
     def __init__(self, model: CompileTimeModel = DEFAULT_MODEL,
                  effort: float = 1.0, seed: int = 1,
-                 device=XCU50, relay_stations: bool = False,
-                 sim_engine: Optional[str] = None):
+                 device=XCU50, relay_stations: bool = False):
         self.model = model
         self.effort = effort
         self.seed = seed
         self.device = device
         self.relay_stations = relay_stations
-        #: See :attr:`O1Flow.sim_engine` — same knob, same contract.
-        self.sim_engine = sim_engine
 
     def compile(self, project: Project,
                 engine: Optional[BuildEngine] = None) -> FlowBuild:
@@ -963,7 +946,6 @@ class O3Flow:
         if merged is None:
             raise FlowError(f"project {project.name!r} has no operators")
 
-        sim_engine = resolve_engine(self.sim_engine)
         impl = engine.step(
             "impl:monolithic",
             tuple(op.hls_spec for op in graph.operators.values())
@@ -974,8 +956,7 @@ class O3Flow:
                 threads=self.monolithic_threads, monolithic=True,
                 seed=self.seed, effort=self.effort, spans_slrs=True,
                 channel_capacity=self.channel_capacity,
-                route_iterations=self.route_iterations,
-                engine=sim_engine))
+                route_iterations=self.route_iterations))
 
         n_links = len(graph.links)
         if self.relay_stations:

@@ -80,8 +80,7 @@ class IncrementalSession:
         flow: the -O1 flow to compile with (default configuration when
             omitted); the session reuses one engine across compiles so
             the flow's record reflects incremental work.
-        effort / seed / sim_engine: forwarded to a
-            default-constructed flow.
+        effort / seed: forwarded to a default-constructed flow.
         resume: replay the store's build journal from an interrupted
             invocation — completed steps become ``resume-skip`` cache
             hits; requires a disk-backed store (``cache_dir``).
@@ -111,8 +110,7 @@ class IncrementalSession:
                  seed: int = 1, cluster: Optional[CompileCluster] = None,
                  tracer=None, resume: bool = False, deadline=None,
                  journal_dir=None, engine: Optional[BuildEngine] = None,
-                 owns_store: Optional[bool] = None,
-                 sim_engine: Optional[str] = None):
+                 owns_store: Optional[bool] = None):
         # Imported here, not at module top: repro.store itself imports
         # repro.core.build, and this module is pulled in by the
         # repro.core package init — a top-level import would make
@@ -146,8 +144,7 @@ class IncrementalSession:
                                       deadline=deadline,
                                       owns_cache=self.owns_store)
         self.flow = flow if flow is not None \
-            else O1Flow(effort=effort, seed=seed, cluster=cluster,
-                        sim_engine=sim_engine)
+            else O1Flow(effort=effort, seed=seed, cluster=cluster)
         self.project: Optional[Project] = None
         self.build: Optional[FlowBuild] = None
         self.history: List[EditResult] = []

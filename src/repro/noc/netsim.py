@@ -19,20 +19,21 @@ per-cycle :class:`SwitchId` construction and routing geometry.  The
 tables are pure caches — results are bit-identical to the naive
 geometry walk, which the equivalence tests assert.
 
-Two engines step the network (see :mod:`repro.simengine`):
+Two routers step the network, chosen by its size:
 
-* ``scalar`` — the reference loop above: one dict/list operation per
-  packet per cycle.
-* ``vector`` — all in-flight packets live in numpy columns
-  (slot/dest/age/hops, plus an index into a stable packet-object
-  store); routing class selection, age-ordered arbitration (a stable
-  ``lexsort`` reproduces the scalar per-switch sort exactly) and
-  deflection resolution are whole-array operations per cycle.  Per
-  cycle Python touches only actual deliveries and injections, so the
-  cost is ~flat in the in-flight count — the win grows with network
-  size.  Deliveries, deflection counts, latencies and fault outcomes
-  are bit-identical to the scalar engine (pinned by the equivalence
-  tests).
+* below :data:`VECTOR_MIN_LEAVES` leaves, the loop above: one dict/list
+  operation per packet per cycle.
+* from :data:`VECTOR_MIN_LEAVES` leaves up, all in-flight packets live
+  in numpy columns (slot/dest/age/hops, plus an index into a stable
+  packet-object store); routing class selection, age-ordered
+  arbitration (a stable ``lexsort`` reproduces the per-switch sort
+  exactly) and deflection resolution are whole-array operations per
+  cycle.  Per cycle Python touches only actual deliveries and
+  injections, so the cost is ~flat in the in-flight count — the win
+  grows with network size, but the fixed per-cycle array overhead
+  loses on small networks.  Deliveries, deflection counts, latencies
+  and fault outcomes are bit-identical on both paths (pinned by the
+  golden tests, which run on both).
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from repro.errors import DeadlockError, NoCError
 from repro.noc.bft import BFTopology, SwitchId
 from repro.noc.leaf import LeafInterface
 from repro.noc.packet import AckPacket, DataPacket, Packet
-from repro.simengine import VECTOR, resolve_engine
 from repro.trace import NULL_TRACER
 
 #: Output slot identifiers: ("up", k) | ("down", child_side)
@@ -53,6 +53,12 @@ _UP = "up"
 _DOWN = "down"
 
 _AGE = operator.attrgetter("age")
+
+#: Padded leaf count (:attr:`BFTopology.size`) from which the simulator
+#: takes the numpy router.  Measured crossover: the vector router loses
+#: at 8-64 leaves and wins from 128 up (EXPERIMENTS.md), so the U50 and
+#: U280 overlays stay on the per-packet loop and the VU19P goes vector.
+VECTOR_MIN_LEAVES = 128
 
 
 @dataclass
@@ -82,14 +88,12 @@ class NetworkSimulator:
             events on the ``noc`` lane (with the cycle they happened
             at), so a flaky network is visible in the same trace as the
             build that ran over it.
-        engine: simulation engine (``scalar``/``vector``); ``None``
-            resolves through :func:`repro.simengine.resolve_engine`.
     """
 
     def __init__(self, topology: BFTopology,
                  leaves: Optional[Dict[int, LeafInterface]] = None,
                  faults=None, watchdog_cycles: int = 50_000,
-                 tracer=None, engine: Optional[str] = None):
+                 tracer=None):
         if topology.up_links != 1:
             raise NoCError(
                 "the cycle simulator models the paper's modest single "
@@ -122,8 +126,7 @@ class NetworkSimulator:
         self._accepted_events = 0
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._retrans_seen = 0
-        self.engine = resolve_engine(engine)
-        self._vector = self.engine == VECTOR
+        self._vector = topology.size >= VECTOR_MIN_LEAVES
         self._build_tables()
 
     def attach(self, iface: LeafInterface) -> None:
@@ -360,7 +363,7 @@ class NetworkSimulator:
         age = self._vage
         hops = self._vhops
         dest = self._vdest
-        # Bounce fast path: the scalar engine's deliver()/push_front()/
+        # Bounce fast path: the scalar path's deliver()/push_front()/
         # pop_injection() round-trip for a mis-deflected packet at a
         # non-reliable, fault-free leaf reduces to ``bounced += 1;
         # sent += 1`` and the packet re-entering flight on that leaf's
@@ -645,7 +648,7 @@ class NetworkSimulator:
         return bool(self._in_flight)
 
     def _in_flight_items(self) -> List[Tuple[int, Packet]]:
-        """(slot id, packet) pairs for diagnostics, either engine."""
+        """(slot id, packet) pairs for diagnostics, either router."""
         if self._vector:
             store = self._vstore
             return [(sid, store[p]) for sid, p in

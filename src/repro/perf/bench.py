@@ -78,8 +78,9 @@ def bench_noc_drain(quick: bool = False,
     """Drain an all-to-all packet load through the deflection NoC.
 
     Full mode uses a 512-leaf fabric — big-device territory, where the
-    vector engine's batched router pays off (the per-switch Python
-    loop dominates scalar stepping at this scale).
+    simulator takes its batched numpy router (the per-switch Python
+    loop would dominate at this scale); quick mode's 16 leaves run the
+    per-packet loop.
     """
     registry = registry if registry is not None else PerfRegistry()
     n_leaves, n_ports, per_leaf = (16, 4, 60) if quick else (512, 8, 60)
@@ -550,10 +551,11 @@ def bench_scaling(quick: bool = False,
     """Big-device end-to-end: -O1 on a scaled multi-SLR overlay.
 
     Quick compiles against the 40-page U280 floorplan (3 SLRs); full
-    against the 80-page VU19P (4 SLRs) — the scale the vector engines
-    exist for.  Compiles and executes digit-recognition, then drains an
-    all-to-all load over a NoC sized to the overlay's leaf count and
-    reports the SLR-cut geometry of the link network.
+    against the 80-page VU19P (4 SLRs), whose 128-leaf NoC is large
+    enough for the simulator's numpy router.  Compiles and executes
+    digit-recognition, then drains an all-to-all load over a NoC sized
+    to the overlay's leaf count and reports the SLR-cut geometry of the
+    link network.
     """
     from repro.core import BuildEngine, O1Flow
     from repro.fabric import Overlay, XCU280, XCVU19P
@@ -600,157 +602,6 @@ def bench_scaling(quick: bool = False,
     }
 
 
-# --------------------------------------------------------------------------
-# kernel micro-benchmarks (``pld bench --kernel``)
-# --------------------------------------------------------------------------
-
-
-def _kernel_head_to_head(run, registry: PerfRegistry):
-    """Time one kernel workload under both engines and compare.
-
-    ``run(engine_name)`` builds a fresh workload under the named engine
-    and returns its deterministic observables.  The observables must be
-    identical across engines — the bit-identical contract — or the
-    suite fails.  The headline wall time is the *vector* run (the path
-    the optimisation ships); the scalar time and speedup ride along as
-    metrics.
-    """
-    from repro.simengine import engine_scope
-
-    walls: Dict[str, float] = {}
-    observed: Dict[str, Dict] = {}
-    for name in ("scalar", "vector"):
-        with registry.timer(name):
-            with engine_scope(name):
-                walls[name], observed[name] = _timed(lambda: run(name))
-    if observed["scalar"] != observed["vector"]:
-        raise AssertionError(
-            "engines diverge on deterministic observables: "
-            f"scalar={observed['scalar']!r} "
-            f"vector={observed['vector']!r}")
-    speedup = (walls["scalar"] / walls["vector"]
-               if walls["vector"] > 0 else float("inf"))
-    return walls["vector"], {
-        "scalar_s": round(walls["scalar"], 4),
-        "vector_s": round(walls["vector"], 4),
-        "speedup": round(speedup, 3),
-        **observed["scalar"],
-    }
-
-
-def bench_kernel_noc(quick: bool = False,
-                     registry: Optional[PerfRegistry] = None):
-    """Deflection-router inner loop, scalar vs vector.
-
-    Quick runs a 64-leaf fabric (small enough that the scalar engine
-    can still win — numpy batching has per-cycle overhead); full runs
-    256 leaves, where the vector engine's per-switch batching pays.
-    """
-    registry = registry if registry is not None else PerfRegistry()
-    n_leaves, n_ports, per_leaf = (64, 8, 30) if quick else (512, 8, 60)
-
-    def run(engine):
-        sim = _drain_fixture(n_leaves, n_ports, per_leaf, seed=7)
-        cycles = sim.run(max_cycles=2_000_000)
-        return {"cycles": cycles, "delivered": len(sim.delivered),
-                "deflections": sim.total_deflections}
-
-    return _kernel_head_to_head(run, registry)
-
-
-def bench_kernel_annealer(quick: bool = False,
-                          registry: Optional[PerfRegistry] = None):
-    """Simulated-annealing placer inner loop, scalar vs vector.
-
-    Both engines consume the same RNG stream (move proposals and
-    accept draws), so the placement and its statistics are pinned to
-    be identical — the speedup comes purely from batched delta-HPWL
-    evaluation between the draws.
-    """
-    from repro.fabric.shell import Overlay
-    from repro.hls.estimate import estimate_operator
-    from repro.hls.netlist import synthesize_netlist
-    from repro.pnr.pack import pack_netlist
-    from repro.pnr.placer import place
-    from repro.rosetta import get_app
-
-    registry = registry if registry is not None else PerfRegistry()
-    effort = 0.3 if quick else 2.0
-    app = get_app("digit-recognition")
-    # The biggest HW operator gives the annealer a real net count.
-    op_name, op = max(
-        ((n, o) for n, o in app.project.graph.operators.items()
-         if o.target == "HW"),
-        key=lambda item: estimate_operator(item[1].hls_spec).luts)
-    estimate = estimate_operator(op.hls_spec)
-    netlist = synthesize_netlist(
-        op_name, estimate, n_ports=len(op.inputs) + len(op.outputs))
-    grid = list(Overlay().pages)[0].page_type.grid()
-
-    def run(engine):
-        placement = place(pack_netlist(netlist), grid, seed=2,
-                          effort=effort)
-        stats = placement.stats
-        return {"moves_evaluated": stats.moves_evaluated,
-                "moves_accepted": stats.moves_accepted,
-                "final_cost": round(stats.final_cost, 6)}
-
-    return _kernel_head_to_head(run, registry)
-
-
-def bench_kernel_iss(quick: bool = False,
-                     registry: Optional[PerfRegistry] = None):
-    """Softcore ISS dispatch loop, scalar vs vector (basic-block cache).
-
-    A compiled arithmetic-heavy streaming operator processes a long
-    token stream; the vector engine replays decoded basic blocks
-    instead of re-dispatching instruction by instruction.
-    """
-    from repro.dataflow import DataflowGraph, Operator, run_graph
-    from repro.hls import OperatorBuilder
-    from repro.softcore import compile_operator
-
-    registry = registry if registry is not None else PerfRegistry()
-    tokens = 400 if quick else 4000
-    b = OperatorBuilder("hotmix", inputs=[("a", 32), ("b", 32)],
-                        outputs=[("o", 32)])
-    with b.loop("L", tokens, pipeline=True):
-        x = b.read("a")
-        y = b.read("b")
-        s = b.add(x, y)
-        d = b.sub(x, y)
-        p = b.mul(b.cast(x, 16), b.cast(y, 16))
-        q = b.div(x, b.or_(y, 1))
-        r = b.mod(x, b.or_(y, 3))
-        acc = b.xor(b.and_(s, d), b.or_(p, q))
-        acc = b.add(b.xor(acc, r), b.and_(p, s))
-        b.write("o", b.cast(acc, 32))
-    spec = b.build()
-    compiled = compile_operator(spec)
-    rng = random.Random(5)
-    inputs = {"a": [rng.randrange(1 << 31) for _ in range(tokens)],
-              "b": [rng.randrange(1 << 31) for _ in range(tokens)]}
-
-    def run(engine):
-        telemetry: Dict[str, object] = {}
-        op = Operator(spec.name,
-                      compiled.make_body(telemetry=telemetry,
-                                         engine=engine),
-                      spec.input_ports, spec.output_ports)
-        g = DataflowGraph("bench_iss")
-        g.add(op)
-        for port in spec.input_ports:
-            g.expose_input(port, f"{spec.name}.{port}")
-        for port in spec.output_ports:
-            g.expose_output(port, f"{spec.name}.{port}")
-        outputs = run_graph(g, inputs)
-        cpu = telemetry[spec.name]
-        return {"retired": cpu.instructions_retired,
-                "checksum": sum(outputs["o"]) & 0xFFFFFFFF}
-
-    return _kernel_head_to_head(run, registry)
-
-
 #: suite name -> callable(quick, registry) -> (wall_seconds, metrics)
 SUITES: Dict[str, Callable] = {
     "noc_drain": bench_noc_drain,
@@ -766,19 +617,6 @@ SUITES: Dict[str, Callable] = {
     "scaling": bench_scaling,
 }
 
-#: scalar-vs-vector micro-benchmarks; run via ``pld bench --kernel``
-#: (not part of the default tracked set — they time both engines and
-#: assert the deterministic observables match).
-KERNEL_SUITES: Dict[str, Callable] = {
-    "kernel_noc_router": bench_kernel_noc,
-    "kernel_annealer": bench_kernel_annealer,
-    "kernel_iss": bench_kernel_iss,
-}
-
-#: every runnable suite, for ``--suite`` lookup.
-ALL_SUITES: Dict[str, Callable] = {**SUITES, **KERNEL_SUITES}
-
-
 # --------------------------------------------------------------------------
 # harness
 # --------------------------------------------------------------------------
@@ -786,8 +624,7 @@ ALL_SUITES: Dict[str, Callable] = {**SUITES, **KERNEL_SUITES}
 
 def run_suites(names: Optional[List[str]] = None, quick: bool = False,
                repeats: int = DEFAULT_REPEATS, profile: bool = False,
-               out=sys.stdout, tracer=None,
-               sim_engine: Optional[str] = None) -> Dict[str, Dict]:
+               out=sys.stdout, tracer=None) -> Dict[str, Dict]:
     """Run the selected suites best-of-``repeats``; returns the results
     dict that ``BENCH_pld.json`` stores.
 
@@ -795,20 +632,14 @@ def run_suites(names: Optional[List[str]] = None, quick: bool = False,
     ``{"error": "..."}`` and the remaining suites still execute (the
     caller decides the exit code), so one broken workload never costs
     the whole results file.  With a tracer, every repeat is a
-    wall-clock span on the ``bench`` lane.  ``sim_engine`` runs every
-    suite under that simulation engine (the kernel suites set their own
-    per-engine scopes inside and are unaffected).
+    wall-clock span on the ``bench`` lane.
     """
-    from repro.simengine import engine_scope
-
     tracer = tracer if tracer is not None else NULL_TRACER
-    # Resolved at call time so tests can monkeypatch SUITES.
-    available = {**SUITES, **KERNEL_SUITES}
     results: Dict[str, Dict] = {}
     for name in (names or list(SUITES)):
-        if name not in available:
+        if name not in SUITES:
             raise SystemExit(f"unknown bench suite {name!r}; "
-                             f"have: {', '.join(available)}")
+                             f"have: {', '.join(SUITES)}")
         best: Optional[float] = None
         meta: Dict = {}
         best_registry = PerfRegistry()
@@ -818,9 +649,8 @@ def run_suites(names: Optional[List[str]] = None, quick: bool = False,
                 with tracer.span(f"suite:{name}", category="bench",
                                  lane="bench", quick=quick,
                                  repeat=repeat) as span:
-                    with engine_scope(sim_engine):
-                        wall, metrics = available[name](
-                            quick=quick, registry=registry)
+                    wall, metrics = SUITES[name](quick=quick,
+                                                 registry=registry)
                     span.set(suite_wall_s=round(wall, 4))
                 if best is None or wall < best:
                     best, meta, best_registry = wall, metrics, registry
@@ -879,18 +709,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--suite", action="append", dest="suites",
                         metavar="NAME",
                         help="run only this suite (repeatable); "
-                        f"one of: {', '.join(ALL_SUITES)}")
-    parser.add_argument("--kernel", action="store_true",
-                        help="run the scalar-vs-vector kernel "
-                        "micro-benchmarks "
-                        f"({', '.join(KERNEL_SUITES)}) instead of the "
-                        "tracked suites")
-    parser.add_argument("--sim-engine", choices=("scalar", "vector"),
-                        default=None,
-                        help="simulation engine for every suite "
-                        "(default: ambient/scalar); results are "
-                        "bit-identical either way — only wall times "
-                        "move")
+                        f"one of: {', '.join(SUITES)}")
     parser.add_argument("--repeats", type=int, default=DEFAULT_REPEATS,
                         help="best-of-N runs per suite (default "
                         f"{DEFAULT_REPEATS})")
@@ -938,12 +757,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.trace import Tracer
         tracer = Tracer()
 
-    names = args.suites
-    if names is None and args.kernel:
-        names = list(KERNEL_SUITES)
-    results = run_suites(names, quick=args.quick,
+    results = run_suites(args.suites, quick=args.quick,
                          repeats=args.repeats, profile=args.profile,
-                         tracer=tracer, sim_engine=args.sim_engine)
+                         tracer=tracer)
     if not args.no_write:
         with open(args.output, "w") as fh:
             json.dump(results, fh, indent=2)

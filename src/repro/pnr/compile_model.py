@@ -19,7 +19,6 @@ monolithic) are real and drive the relative speedups.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.fabric.device import TileGrid
 from repro.hls.netlist import Netlist
@@ -146,8 +145,7 @@ def implement_design(netlist: Netlist, grid: TileGrid, *,
                      channel_capacity: int = 16,
                      route_iterations: int = 24,
                      model: CompileTimeModel = DEFAULT_MODEL,
-                     spans_slrs: bool = False,
-                     engine: Optional[str] = None) -> ImplementationResult:
+                     spans_slrs: bool = False) -> ImplementationResult:
     """Pack, place, route and time one design; model its backend cost.
 
     Args:
@@ -163,17 +161,12 @@ def implement_design(netlist: Netlist, grid: TileGrid, *,
         channel_capacity: routing wires per grid cell.
         model: calibration constants.
         spans_slrs: whether timing should look for SLR crossings.
-        engine: simulation engine for the placer (``scalar``/``vector``,
-            bit-identical results; ``None`` resolves ambient state).
-            Passed explicitly so it survives into
-            :class:`~repro.core.parallel.ParallelBuildEngine` workers.
     """
     import time
 
     start = time.perf_counter()
     packed = pack_netlist(netlist)
-    placement = place(packed, grid, seed=seed, effort=effort,
-                      engine=engine)
+    placement = place(packed, grid, seed=seed, effort=effort)
     routing = route(placement, channel_capacity=channel_capacity,
                     max_iterations=route_iterations)
     timing = analyze_timing(placement, routing, spans_slrs=spans_slrs)

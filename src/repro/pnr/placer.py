@@ -8,19 +8,8 @@ reason monolithic FPGA compiles are slow — with an adaptive temperature
 update driven by the acceptance rate and a shrinking displacement
 window.
 
-Two engines implement the anneal (see :mod:`repro.simengine`):
-
-* ``scalar`` (:class:`_Annealer`) — the reference: every move
-  tentatively applies the swap and recomputes the affected nets' HPWL
-  over their pin lists.
-* ``vector`` (:class:`_VectorAnnealer`) — delta-HPWL against per-net
-  bounding-box arrays (numpy-initialised, incrementally maintained with
-  extreme-multiplicity counters): a move is evaluated in O(1) per
-  affected net with *no* tentative state mutation, and only accepted
-  moves touch the arrays.  The RNG draw stream — one cell draw, up to
-  four target draws, one acceptance draw for uphill moves — is
-  consumed identically, so placements, costs and stats are
-  bit-identical to the scalar engine (pinned by the equivalence tests).
+Every move tentatively applies the swap and recomputes the affected
+nets' HPWL over their pin lists; rejected moves revert it.
 
 The placer reports a :class:`PlacerStats` with the number of move
 evaluations performed; :mod:`repro.pnr.compile_model` converts that work
@@ -37,7 +26,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.errors import PnRError
 from repro.fabric.device import Site, TileGrid
 from repro.pnr.pack import PackedNetlist
-from repro.simengine import VECTOR, resolve_engine
 
 #: Move-per-temperature multiplier (VPR uses 10; scaled for wall time).
 MOVES_PER_TEMP_FACTOR = 2.0
@@ -92,8 +80,7 @@ class Placement:
 
 
 def place(netlist: PackedNetlist, grid: TileGrid,
-          seed: int = 1, effort: float = 1.0,
-          engine: Optional[str] = None) -> Placement:
+          seed: int = 1, effort: float = 1.0) -> Placement:
     """Anneal ``netlist`` onto ``grid``.
 
     Args:
@@ -102,16 +89,11 @@ def place(netlist: PackedNetlist, grid: TileGrid,
         seed: RNG seed (placements are reproducible).
         effort: scales moves per temperature; <1 for fast/dirty runs
             (used by unit tests), 1.0 for benchmark runs.
-        engine: ``"scalar"`` | ``"vector"`` | None (ambient default);
-            both produce bit-identical placements.
 
     Raises:
         PnRError: when some cell kind has more cells than sites.
     """
-    cls = _VectorAnnealer if resolve_engine(engine) == VECTOR \
-        else _Annealer
-    annealer = cls(netlist, grid, seed, effort)
-    return annealer.run()
+    return _Annealer(netlist, grid, seed, effort).run()
 
 
 class _Annealer:
@@ -199,13 +181,9 @@ class _Annealer:
 
     # -- the anneal -------------------------------------------------------------
 
-    def _init_cost(self) -> List[int]:
-        """Per-net cost vector at the initial placement (engine hook)."""
-        return [self._net_hpwl(i) for i in range(len(self.netlist.nets))]
-
     def run(self) -> Placement:
         self._initial_placement()
-        net_cost = self._init_cost()
+        net_cost = [self._net_hpwl(i) for i in range(len(self.netlist.nets))]
         cost = sum(net_cost)
         self.stats.initial_cost = cost
 
@@ -218,9 +196,14 @@ class _Annealer:
         window = max(self.grid.width, self.grid.height)
 
         temperatures = 0
+        try_move = self._try_move
         while temperatures < MAX_TEMPERATURES:
-            accepted, cost = self._sweep(net_cost, temperature, window,
-                                         moves_per_temp, cost)
+            accepted = 0
+            for _ in range(moves_per_temp):
+                delta = try_move(net_cost, temperature, window)
+                if delta is not None:
+                    cost += delta
+                    accepted += 1
             self.stats.moves_evaluated += moves_per_temp
             self.stats.moves_accepted += accepted
             temperatures += 1
@@ -248,21 +231,6 @@ class _Annealer:
         locations = [site_at[(x, y)]
                      for x, y in zip(self.loc_x, self.loc_y)]
         return Placement(self.grid, locations, self.stats, self.netlist)
-
-    def _sweep(self, net_cost: List[int], temperature: float,
-               window: int, moves: int, cost: int) -> Tuple[int, int]:
-        """One temperature's worth of moves (engine hook).
-
-        Returns ``(accepted, cost)`` after ``moves`` evaluations.
-        """
-        accepted = 0
-        try_move = self._try_move
-        for _ in range(moves):
-            delta = try_move(net_cost, temperature, window)
-            if delta is not None:
-                cost += delta
-                accepted += 1
-        return accepted, cost
 
     def _try_move(self, net_cost: List[int], temperature: float,
                   window: int) -> Optional[int]:
@@ -363,358 +331,3 @@ class _Annealer:
         else:
             del occupant[tkey]
         return None
-
-
-class _VectorAnnealer(_Annealer):
-    """Bounding-box delta-HPWL engine (``sim_engine=vector``).
-
-    Move evaluation never tentatively mutates the placement: the
-    "after" cost of every affected net is computed directly, so
-    rejected moves — the overwhelming majority at the productive low
-    temperatures — do no apply/revert work at all.
-
-    * 2-pin nets (the bulk of packed page netlists) evaluate by closed
-      form against the fixed endpoint.
-    * Larger nets evaluate against per-net bounding-box arrays with
-      extreme-multiplicity counters, all numpy-initialised in one CSR
-      pass: unless the moved cell held an extreme alone, the new box is
-      the old box extended toward the target — O(1) regardless of pin
-      count.  Only the rare unique-extreme removal rescans a pin list,
-      and only accepted moves rebuild the affected boxes.
-
-    The RNG draw stream is consumed exactly as the scalar engine does,
-    so placements, costs and stats are bit-identical (pinned by the
-    equivalence tests); the win grows with net size and design scale.
-    """
-
-    def _init_cost(self) -> List[int]:
-        import numpy as np
-
-        nets = self.net_pins
-        n_nets = len(nets)
-        # 2-pin fast path: endpoint pair (or None for larger nets).
-        self._pair: List[Optional[Tuple[int, int]]] = [
-            (pins[0], pins[1]) if len(pins) == 2 else None
-            for pins in nets]
-        # >=3-pin nets carry pin-multiplicity maps for the bbox rules.
-        self._net_mult: List[Optional[Dict[int, int]]] = []
-        for pins in nets:
-            if len(pins) == 2:
-                self._net_mult.append(None)
-                continue
-            mult: Dict[int, int] = {}
-            for p in pins:
-                mult[p] = mult.get(p, 0) + 1
-            self._net_mult.append(mult)
-        # Per-cell site-pool tuples: one list index instead of a kind
-        # string lookup per move (draw-stream neutral).
-        self._cell_pool = [self._kind_pools[k] for k in self.cell_kinds]
-        # Flat occupancy array (packed key -> cell, -1 empty): the
-        # anneal loop only ever probes single keys, so a list index
-        # replaces the dict probe.  The inherited ``occupant`` dict is
-        # not maintained past this point (nothing else reads it).
-        occ = [-1] * (self.grid.width * self.grid.height)
-        for key, c in self.occupant.items():
-            occ[key] = c
-        self._occ = occ
-        # Displace fast-path structures: per cell, its 2-pin nets as
-        # (net, fixed-endpoint) pairs — degenerate both-pins-on-cell
-        # nets excluded, their span is identically 0 — and its >=3-pin
-        # nets.  (Swaps still walk ``cell_nets`` of both cells.)
-        self._pair_nets: List[List[Tuple[int, int]]] = [
-            [] for _ in range(self._size)]
-        self._big_nets: List[List[int]] = [[] for _ in range(self._size)]
-        for c in range(self._size):
-            for i in self.cell_nets[c]:
-                pins = nets[i]
-                if len(pins) == 2:
-                    a, b = pins
-                    if a != b:
-                        self._pair_nets[c].append((i, b if a == c else a))
-                else:
-                    self._big_nets[c].append(i)
-        if n_nets == 0:
-            self._lo_x = self._hi_x = self._lo_y = self._hi_y = []
-            self._n_lo_x = self._n_hi_x = []
-            self._n_lo_y = self._n_hi_y = []
-            return []
-        sizes = np.array([len(pins) for pins in nets])
-        starts = np.zeros(n_nets, dtype=np.int64)
-        np.cumsum(sizes[:-1], out=starts[1:])
-        pin_idx = np.concatenate([np.asarray(pins) for pins in nets])
-        xs = np.asarray(self.loc_x)[pin_idx]
-        ys = np.asarray(self.loc_y)[pin_idx]
-        lo_x = np.minimum.reduceat(xs, starts)
-        hi_x = np.maximum.reduceat(xs, starts)
-        lo_y = np.minimum.reduceat(ys, starts)
-        hi_y = np.maximum.reduceat(ys, starts)
-        self._lo_x = lo_x.tolist()
-        self._hi_x = hi_x.tolist()
-        self._lo_y = lo_y.tolist()
-        self._hi_y = hi_y.tolist()
-        self._n_lo_x = np.add.reduceat(
-            xs == np.repeat(lo_x, sizes), starts).tolist()
-        self._n_hi_x = np.add.reduceat(
-            xs == np.repeat(hi_x, sizes), starts).tolist()
-        self._n_lo_y = np.add.reduceat(
-            ys == np.repeat(lo_y, sizes), starts).tolist()
-        self._n_hi_y = np.add.reduceat(
-            ys == np.repeat(hi_y, sizes), starts).tolist()
-        return ((hi_x - lo_x) + (hi_y - lo_y)).tolist()
-
-    def _after_one(self, i: int, m: int, ax: int, ay: int,
-                   bx: int, by: int) -> int:
-        """HPWL of (>=3-pin) net ``i`` after ``m`` moves (a) -> (b).
-
-        O(1) from the bounding box unless ``m``'s pins held an extreme
-        alone, in which case that axis rescans the net's pin list.
-        """
-        cnt = self._net_mult[i][m]
-        hi = self._hi_x[i]
-        lo = self._lo_x[i]
-        if (ax == hi and self._n_hi_x[i] == cnt) \
-                or (ax == lo and self._n_lo_x[i] == cnt):
-            span_x = self._scan_axis(i, m, bx, self.loc_x)
-        else:
-            span_x = (hi if bx <= hi else bx) - (lo if bx >= lo else bx)
-        hi = self._hi_y[i]
-        lo = self._lo_y[i]
-        if (ay == hi and self._n_hi_y[i] == cnt) \
-                or (ay == lo and self._n_lo_y[i] == cnt):
-            span_y = self._scan_axis(i, m, by, self.loc_y)
-        else:
-            span_y = (hi if by <= hi else by) - (lo if by >= lo else by)
-        return span_x + span_y
-
-    def _scan_axis(self, i: int, m: int, b: int,
-                   loc: List[int]) -> int:
-        """Exact axis span of net ``i`` with cell ``m`` relocated to
-        coordinate ``b`` (the rare unique-extreme-removal path)."""
-        hi = lo = b
-        for p in self.net_pins[i]:
-            if p != m:
-                v = loc[p]
-                if v > hi:
-                    hi = v
-                elif v < lo:
-                    lo = v
-        return hi - lo
-
-    def _refresh_net(self, i: int) -> None:
-        """Rebuild net ``i``'s box and extreme counters from its pins
-        (runs only on accepted moves; 2-pin nets carry no box)."""
-        if self._pair[i] is not None:
-            return
-        pins = self.net_pins[i]
-        loc_x, loc_y = self.loc_x, self.loc_y
-        p0 = pins[0]
-        hi_x = lo_x = loc_x[p0]
-        hi_y = lo_y = loc_y[p0]
-        n_hi_x = n_lo_x = n_hi_y = n_lo_y = 1
-        for p in pins[1:]:
-            x = loc_x[p]
-            if x > hi_x:
-                hi_x, n_hi_x = x, 1
-            elif x == hi_x:
-                n_hi_x += 1
-            if x < lo_x:
-                lo_x, n_lo_x = x, 1
-            elif x == lo_x:
-                n_lo_x += 1
-            y = loc_y[p]
-            if y > hi_y:
-                hi_y, n_hi_y = y, 1
-            elif y == hi_y:
-                n_hi_y += 1
-            if y < lo_y:
-                lo_y, n_lo_y = y, 1
-            elif y == lo_y:
-                n_lo_y += 1
-        self._hi_x[i], self._lo_x[i] = hi_x, lo_x
-        self._hi_y[i], self._lo_y[i] = hi_y, lo_y
-        self._n_hi_x[i], self._n_lo_x[i] = n_hi_x, n_lo_x
-        self._n_hi_y[i], self._n_lo_y[i] = n_hi_y, n_lo_y
-
-    def _sweep(self, net_cost: List[int], temperature: float,
-               window: int, moves: int, cost: int) -> Tuple[int, int]:
-        """One temperature of moves, fully inlined.
-
-        Identical RNG consumption and integer deltas to the scalar
-        :meth:`_Annealer._try_move` loop, restructured for speed: the
-        evaluation pass computes only the cost delta (no tentative
-        mutation, no per-net value list), and only *accepted* moves do a
-        second pass that applies the move and rebuilds the affected
-        nets' costs/boxes from the new coordinates.  Acceptance
-        probabilities are memoised per temperature (deltas are small
-        ints and the temperature is fixed for the whole sweep, so the
-        cached float is exactly ``exp(-delta / max(T, 1e-9))``).
-        """
-        rng = self.rng
-        getrandbits = rng.getrandbits
-        random_ = rng.random
-        exp = math.exp
-        size = self._size
-        size_bits = self._size_bits
-        cell_pool = self._cell_pool
-        loc_x, loc_y = self.loc_x, self.loc_y
-        height = self.height
-        cell_nets = self.cell_nets
-        pair = self._pair
-        net_mult = self._net_mult
-        net_pins = self.net_pins
-        occ = self._occ
-        pair_nets = self._pair_nets
-        big_nets = self._big_nets
-        hi_x, lo_x = self._hi_x, self._lo_x
-        hi_y, lo_y = self._hi_y, self._lo_y
-        n_hi_x, n_lo_x = self._n_hi_x, self._n_lo_x
-        n_hi_y, n_lo_y = self._n_hi_y, self._n_lo_y
-        after_one = self._after_one
-        refresh = self._refresh_net
-        mt = max(temperature, 1e-9)
-        accept_prob: Dict[int, float] = {}
-        accepted = 0
-        for _ in range(moves):
-            cell = getrandbits(size_bits)
-            while cell >= size:
-                cell = getrandbits(size_bits)
-            pool_x, pool_y, n_pool, pool_bits = cell_pool[cell]
-            if n_pool < 2:
-                continue
-            sx = loc_x[cell]
-            sy = loc_y[cell]
-            for _t in range(4):   # find a target inside the window
-                j = getrandbits(pool_bits)
-                while j >= n_pool:
-                    j = getrandbits(pool_bits)
-                tx = pool_x[j]
-                ty = pool_y[j]
-                if (-window <= tx - sx <= window
-                        and -window <= ty - sy <= window
-                        and (tx != sx or ty != sy)):
-                    break
-            else:
-                continue
-            tkey = tx * height + ty
-            other = occ[tkey]
-            delta = 0
-            if other < 0:
-                for i, o in pair_nets[cell]:
-                    ox = loc_x[o]
-                    oy = loc_y[o]
-                    delta += ((tx - ox if tx >= ox else ox - tx)
-                              + (ty - oy if ty >= oy else oy - ty)
-                              - net_cost[i])
-                for i in big_nets[cell]:
-                    # >=3-pin: O(1) box extension per axis unless the
-                    # cell held that extreme alone (rescan).
-                    cnt = net_mult[i][cell]
-                    h = hi_x[i]
-                    lo = lo_x[i]
-                    if (sx == h and n_hi_x[i] == cnt) \
-                            or (sx == lo and n_lo_x[i] == cnt):
-                        vh = vl = tx
-                        for p in net_pins[i]:
-                            if p != cell:
-                                v = loc_x[p]
-                                if v > vh:
-                                    vh = v
-                                elif v < vl:
-                                    vl = v
-                        value = vh - vl
-                    else:
-                        value = ((h if tx <= h else tx)
-                                 - (lo if tx >= lo else tx))
-                    h = hi_y[i]
-                    lo = lo_y[i]
-                    if (sy == h and n_hi_y[i] == cnt) \
-                            or (sy == lo and n_lo_y[i] == cnt):
-                        vh = vl = ty
-                        for p in net_pins[i]:
-                            if p != cell:
-                                v = loc_y[p]
-                                if v > vh:
-                                    vh = v
-                                elif v < vl:
-                                    vl = v
-                        value += vh - vl
-                    else:
-                        value += ((h if ty <= h else ty)
-                                  - (lo if ty >= lo else ty))
-                    delta += value - net_cost[i]
-            else:
-                merged = set(cell_nets[cell])
-                merged.update(cell_nets[other])
-                affected = list(merged)
-                for i in affected:
-                    pr = pair[i]
-                    if pr is not None:
-                        a, b = pr
-                        a_moved = a == cell or a == other
-                        b_moved = b == cell or b == other
-                        if a_moved and b_moved:
-                            # Swap inside one net: the coordinate
-                            # support set {source, target} survives,
-                            # so the span cannot change.
-                            continue
-                        m, o = (a, b) if a_moved else (b, a)
-                        nx, ny = (tx, ty) if m == cell else (sx, sy)
-                        ox = loc_x[o]
-                        oy = loc_y[o]
-                        delta += ((nx - ox if nx >= ox else ox - nx)
-                                  + (ny - oy if ny >= oy else oy - ny)
-                                  - net_cost[i])
-                    else:
-                        mult = net_mult[i]
-                        if cell in mult:
-                            if other in mult:
-                                continue   # span preserved (see above)
-                            value = after_one(i, cell, sx, sy, tx, ty)
-                        else:
-                            value = after_one(i, other, tx, ty, sx, sy)
-                        delta += value - net_cost[i]
-
-            if delta > 0:
-                p = accept_prob.get(delta)
-                if p is None:
-                    p = exp(-delta / mt)
-                    accept_prob[delta] = p
-                if not random_() < p:
-                    continue
-            # -- accepted: apply, then rebuild affected nets from the
-            # new coordinates (exact ints, so the rebuilt values agree
-            # with the evaluated delta).
-            cost += delta
-            accepted += 1
-            loc_x[cell] = tx
-            loc_y[cell] = ty
-            occ[tkey] = cell
-            skey = sx * height + sy
-            if other >= 0:
-                loc_x[other] = sx
-                loc_y[other] = sy
-                occ[skey] = other
-                for i in affected:
-                    pr = pair[i]
-                    if pr is not None:
-                        a, b = pr
-                        ax, bx = loc_x[a], loc_x[b]
-                        ay, by = loc_y[a], loc_y[b]
-                        net_cost[i] = ((ax - bx if ax >= bx else bx - ax)
-                                       + (ay - by if ay >= by else by - ay))
-                    else:
-                        refresh(i)
-                        net_cost[i] = ((hi_x[i] - lo_x[i])
-                                       + (hi_y[i] - lo_y[i]))
-            else:
-                occ[skey] = -1
-                for i, o in pair_nets[cell]:
-                    ox = loc_x[o]
-                    oy = loc_y[o]
-                    net_cost[i] = ((tx - ox if tx >= ox else ox - tx)
-                                   + (ty - oy if ty >= oy else oy - ty))
-                for i in big_nets[cell]:
-                    refresh(i)
-                    net_cost[i] = ((hi_x[i] - lo_x[i])
-                                   + (hi_y[i] - lo_y[i]))
-        return accepted, cost

@@ -81,11 +81,6 @@ class CompileRequest:
     cost: int = 1
     resume: bool = False
     seed: int = 1
-    #: Simulation engine (``scalar``/``vector``) for this request's
-    #: placer/ISS kernels.  Bit-identical by contract, so it never
-    #: enters content keys: a vector daemon and scalar clients share
-    #: one artifact store.  ``None`` keeps the daemon's default.
-    sim_engine: Optional[str] = None
     #: When set, the request is an *edit*: touch this operator in the
     #: named session and recompile incrementally ("first-hw" picks the
     #: first hardware operator).
@@ -367,21 +362,13 @@ class CompileService:
                            deadline=deadline, crash_plan=crash_plan,
                            owns_cache=owns_cache)
 
-    def make_flow(self, name: str, effort: float, seed: int = 1,
-                  sim_engine: Optional[str] = None):
+    def make_flow(self, name: str, effort: float, seed: int = 1):
         try:
             cls = FLOWS[name]
         except KeyError:
             raise ServiceError(f"unknown flow {name!r}; choose from "
                                f"{sorted(FLOWS)}", kind="bad-request")
-        if sim_engine is not None:
-            from repro.simengine import ENGINES
-            if sim_engine not in ENGINES:
-                raise ServiceError(
-                    f"unknown sim engine {sim_engine!r}; choose from "
-                    f"{list(ENGINES)}", kind="bad-request")
-        kwargs: Dict[str, Any] = {"effort": effort,
-                                  "sim_engine": sim_engine}
+        kwargs: Dict[str, Any] = {"effort": effort}
         # Hedged page-compile retries for the o1 cluster — but not
         # during brownout, when speculation is the wrong spend.
         if name in ("o0", "o1") \
@@ -599,7 +586,6 @@ class CompileService:
                 owns_cache=False)
         session = IncrementalSession(
             store=self.store, effort=req.effort, seed=req.seed,
-            sim_engine=req.sim_engine,
             tracer=self.tracer, resume=resume,
             journal_dir=directory, engine=engine, owns_store=False)
         state = _SessionState(name, session,
@@ -896,8 +882,7 @@ class CompileService:
         try:
             if journal is not None:
                 journal.begin_build(req.flow, req.app)
-            flow = self.make_flow(req.flow, req.effort, req.seed,
-                                  sim_engine=req.sim_engine)
+            flow = self.make_flow(req.flow, req.effort, req.seed)
             build = flow.compile(app.project, engine)
             if journal is not None:
                 journal.end_build()
@@ -1035,6 +1020,13 @@ class CompileService:
             if deadline is not None and time.monotonic() >= deadline:
                 return False
             time.sleep(0.05)
+
+    def undelivered(self) -> int:
+        """Finished tickets whose result no :meth:`result` call has
+        fetched yet — what a draining daemon lingers for."""
+        with self._lock:
+            return sum(1 for t in self._tickets.values()
+                       if t.finished is not None and not t.delivered)
 
     # -- introspection / lifecycle -------------------------------------------
 

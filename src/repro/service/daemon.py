@@ -78,8 +78,7 @@ from repro.service.core import (CompileRequest, CompileService,
 _SUBMIT_FIELDS = {
     "app": str, "flow": str, "effort": float, "tenant": str,
     "session": str, "priority": str, "deadline": float, "cost": int,
-    "resume": bool, "seed": int, "sim_engine": str,
-    "edit_operator": str,
+    "resume": bool, "seed": int, "edit_operator": str,
     "edit_tag": str, "crash_at_step": int, "crash_point": str,
 }
 
@@ -91,6 +90,10 @@ DEFAULT_RECONCILE_INTERVAL = 2.0
 #: so a vanished client's done-callback unregisters instead of
 #: accumulating (completion itself still wakes the waiter instantly).
 DISCONNECT_POLL_SECONDS = 0.1
+
+#: How long a drained daemon waits, once its backlog is done, for
+#: clients to collect the results of work it admitted before exiting.
+DRAIN_LINGER_SECONDS = 10.0
 
 
 class _ClientDisconnected(Exception):
@@ -205,6 +208,8 @@ class ServeDaemon:
         self.active_connections = 0
         self.rejected_connections = 0
         self.requests = 0
+        #: Requests read but not yet answered; a drain lets them finish.
+        self.in_flight = 0
         self.reconciled = 0
         #: Clients currently parked in ``result`` (and the high-water
         #: mark) — each costs one asyncio.Event, never a thread.
@@ -352,7 +357,8 @@ class ServeDaemon:
     async def _op_drain(self, header, payload, reader=None):
         """Zero-downtime stop: flip to draining (submits answer
         ``kind="draining"`` with peer hints), let queued + running
-        builds finish, republish session leases on close, exit."""
+        builds finish and their results be collected, republish
+        session leases on close, exit."""
         self.request_drain()
         return {"ok": True, "draining": True,
                 "peers": list(self.service.peers)}, b""
@@ -399,45 +405,16 @@ class ServeDaemon:
                 except asyncio.CancelledError:
                     break                 # server closing this connection
                 self.requests += 1
-                op = header.get("op", "")
-                handler = getattr(self, f"_op_{op}", None) \
-                    if isinstance(op, str) else None
-                if handler is None:
-                    response: Dict[str, Any] = {
-                        "ok": False,
-                        "error": f"unknown op {op!r}",
-                        "kind": "bad-request"}
-                    body = b""
-                else:
-                    try:
-                        response, body = await handler(header, payload,
-                                                       reader)
-                    except _ClientDisconnected:
-                        break
-                    except PLDError as exc:
-                        response, body = error_to_wire(exc), b""
-                    except asyncio.CancelledError:
-                        raise
-                    except (ValueError, TypeError, KeyError) as exc:
-                        # A malformed header the op-specific coercions
-                        # missed: the *request* is bad, the connection
-                        # is fine — answer and keep serving it.
-                        response = {
-                            "ok": False,
-                            "error": f"{type(exc).__name__}: {exc}",
-                            "kind": "bad-request"}
-                        body = b""
-                    except Exception as exc:
-                        response = {
-                            "ok": False,
-                            "error": f"{type(exc).__name__}: {exc}",
-                            "kind": "internal"}
-                        body = b""
+                self.in_flight += 1
                 try:
+                    response, body = await self._dispatch(
+                        header, payload, reader)
                     await send_frame_async(writer, response, body,
                                            timeout=self.frame_timeout)
-                except PLDError:
-                    break
+                except (_ClientDisconnected, PLDError):
+                    break                 # client gone / reply unsendable
+                finally:
+                    self.in_flight -= 1
         finally:
             self.active_connections -= 1
             writer.close()
@@ -446,6 +423,34 @@ class ServeDaemon:
             except (ConnectionError, OSError,
                     asyncio.CancelledError):
                 pass
+
+    async def _dispatch(self, header: Dict[str, Any], payload: bytes,
+                        reader) -> Tuple[Dict[str, Any], bytes]:
+        """Answer one request frame.  Raises :class:`_ClientDisconnected`
+        when a ``result`` waiter's client hung up mid-wait."""
+        op = header.get("op", "")
+        handler = getattr(self, f"_op_{op}", None) \
+            if isinstance(op, str) else None
+        if handler is None:
+            return {"ok": False, "error": f"unknown op {op!r}",
+                    "kind": "bad-request"}, b""
+        try:
+            return await handler(header, payload, reader)
+        except _ClientDisconnected:
+            raise
+        except PLDError as exc:
+            return error_to_wire(exc), b""
+        except asyncio.CancelledError:
+            raise
+        except (ValueError, TypeError, KeyError) as exc:
+            # A malformed header the op-specific coercions missed: the
+            # *request* is bad, the connection is fine — answer and
+            # keep serving it.
+            return {"ok": False, "error": f"{type(exc).__name__}: {exc}",
+                    "kind": "bad-request"}, b""
+        except Exception as exc:
+            return {"ok": False, "error": f"{type(exc).__name__}: {exc}",
+                    "kind": "internal"}, b""
 
     # -- the async store path ------------------------------------------------
 
@@ -515,13 +520,23 @@ class ServeDaemon:
 
     async def _drain_then_stop(self) -> None:
         await self._call(self.service.wait_idle)
+        # The backlog is done, but its clients may not have collected
+        # every result yet, and a reply may still be on its way out:
+        # stopping now would cut those connections.  Linger, bounded.
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + DRAIN_LINGER_SECONDS
+        while (self.service.undelivered() or self.in_flight) \
+                and loop.time() < deadline:
+            await asyncio.sleep(0.05)
         self._stopping.set()
 
     def request_drain(self) -> None:
-        """Flip to draining and stop once the backlog is empty.  The
-        SIGTERM handler — so rolling restarts are zero-downtime: new
-        submits bounce to peers, running builds finish, session leases
-        republish for adoption on close, exit 0."""
+        """Flip to draining and stop once the backlog is empty and its
+        results are collected (or :data:`DRAIN_LINGER_SECONDS` pass).
+        The SIGTERM handler — so rolling restarts are zero-downtime:
+        new submits bounce to peers, running builds finish and are
+        delivered, session leases republish for adoption on close,
+        exit 0."""
         self.service.begin_drain()
         if self._drain_task is None:
             try:

@@ -65,8 +65,7 @@ class CompiledOperator:
 
     def make_body(self, memory_bytes: Optional[int] = None,
                   telemetry: Optional[Dict[str, object]] = None,
-                  cycles: Optional[Dict[str, int]] = None,
-                  engine: Optional[str] = None):
+                  cycles: Optional[Dict[str, int]] = None):
         """Build a dataflow operator body running this binary on an ISS.
 
         Args:
@@ -77,20 +76,14 @@ class CompiledOperator:
             cycles: softcore cycle profile (default: the unpipelined
                 PicoRV32; pass ``PIPELINED_CYCLES`` for the faster
                 overlay the paper suggests in Sec. 7.4).
-            engine: simulation engine (``scalar``/``vector``) for the
-                ISS; captured at body-build time so execution on other
-                scheduler threads keeps the flow's choice.
         """
         from repro.softcore.cpu import PicoRV32
-        from repro.simengine import resolve_engine
 
         size = memory_bytes or self.memory_bytes
         name = self.name
-        engine = resolve_engine(engine)
 
         def body(io):
-            cpu = PicoRV32(memory_bytes=size, cycles=cycles,
-                           engine=engine)
+            cpu = PicoRV32(memory_bytes=size, cycles=cycles)
             if telemetry is not None:
                 telemetry[name] = cpu
             cpu.load_image(self.code, 0)

@@ -13,18 +13,16 @@ Cycle costs follow the unpipelined PicoRV32 (the paper's area-efficient
 choice): roughly 4 cycles per ALU op, 5 for memory and taken branches,
 and a slow iterative divider.
 
-Engines (see :mod:`repro.simengine`): the ``scalar`` engine fetches,
-looks up and dispatches one instruction per :meth:`PicoRV32.step`.  The
-``vector`` engine adds a basic-block cache — straight-line runs are
+Dispatch goes through a basic-block cache: straight-line runs are
 decoded once into a fused handler list keyed by the head pc and
 replayed without per-instruction fetch checks or cache lookups.
-Architectural state, cycle counts and retired-instruction counts are
-bit-identical to the scalar engine; :meth:`PicoRV32.step` itself always
-executes exactly one instruction.  The block cache is invalidated on
-:meth:`load_image`, on the fault-trap image restore, and on stores
-into the cached code span (self-modifying stores); the per-address
-decode cache is deliberately left alone on stores, matching the scalar
-engine's decode-once-per-pc semantics.
+:meth:`PicoRV32.step` executes exactly one instruction; it is the
+single-step API, the path :meth:`PicoRV32.run` takes while an injected
+trap is armed, and the reference the block cache is tested against.
+Both paths share one per-address decode cache.  A write that overlaps
+decoded code — :meth:`load_image`, the fault-trap image restore, or a
+self-modifying store — drops the decodes it overwrote and every cached
+block, so either path executes what memory holds.
 """
 
 from __future__ import annotations
@@ -32,8 +30,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import SoftcoreError, TrapError
-from repro.simengine import VECTOR, resolve_engine
-from repro.softcore.isa import Instruction, decode
+from repro.softcore.isa import decode
 
 #: Memory-mapped stream port bases (one word per port).
 STREAM_READ_BASE = 0x1000_0000
@@ -90,15 +87,12 @@ class PicoRV32:
         core_id: stable name keying this core's fault draws.
         max_trap_restarts: restarts :meth:`run` attempts before
             re-raising an injected trap.
-        engine: simulation engine (``scalar``/``vector``); ``None``
-            resolves through :func:`repro.simengine.resolve_engine`.
     """
 
     def __init__(self, memory_bytes: int = 64 * 1024,
                  cycles: Optional[Dict[str, int]] = None,
                  faults=None, core_id: str = "core0",
-                 max_trap_restarts: int = 3,
-                 engine: Optional[str] = None):
+                 max_trap_restarts: int = 3):
         if not (1024 <= memory_bytes <= MAX_MEMORY_BYTES):
             raise SoftcoreError(
                 f"memory {memory_bytes} outside 1KB..192KB page budget")
@@ -109,26 +103,20 @@ class PicoRV32:
         self.cycles = 0
         self.instructions_retired = 0
         self.halted = False
-        self._decode_cache: Dict[int, Instruction] = {}
+        self._decode_cache: Dict[int, Tuple] = {}
         self.faults = faults
         self.core_id = core_id
         self.max_trap_restarts = max_trap_restarts
         self.injected_traps = 0
         self.restarts = 0
         self._image_snapshot: Optional[bytes] = None
-        self.engine = resolve_engine(engine)
-        self._vector = self.engine == VECTOR
-        # Basic-block cache (vector engine): head pc -> list of
-        # (instr, handler, is_store, clears_x0) entries, plus the code
-        # span the cached blocks cover so stores into it invalidate.
+        # Byte span [lo, hi) of every decoded word, so a store outside
+        # it skips invalidation with one range check.
+        self._code_lo: Optional[int] = None
+        self._code_hi = 0
+        # Basic-block cache: head pc -> list of decode-cache entries.
         self._bb_cache: Dict[int, List[Tuple]] = {}
-        self._bb_lo: Optional[int] = None
-        self._bb_hi = 0
         self._bb_dirty = False
-        if self._vector:
-            # Instance attribute shadows the method: the scalar engine
-            # keeps the unwatched store path with zero overhead.
-            self._store = self._store_watched
 
     # -- memory ------------------------------------------------------------
 
@@ -138,15 +126,11 @@ class PicoRV32:
                 f"image of {len(image)} bytes at {base:#x} exceeds "
                 f"{len(self.memory)}-byte memory")
         self.memory[base:base + len(image)] = image
-        if self._vector:
-            # decode() is a pure function of the word, so entries
-            # outside the overwritten range are still valid; keeping
-            # them (and the block cache, when its span is disjoint)
-            # lets operator frames — which reload only the data
-            # segment — keep their warm code caches.
-            self._invalidate_range(base, base + len(image))
-        else:
-            self._decode_cache.clear()
+        # Decodes outside the overwritten range still match memory;
+        # keeping them (and the blocks, when no decoded word was
+        # overwritten) lets operator frames — which reload only the
+        # data segment — keep their warm code caches.
+        self._invalidate_range(base, base + len(image))
         # Snapshot the as-loaded memory so an injected trap can restore
         # pristine state before restarting the program.
         self._image_snapshot = bytes(self.memory)
@@ -181,20 +165,18 @@ class PicoRV32:
         word_addr = self.pc
         entry = self._decode_cache.get(word_addr)
         if entry is None:
-            instr = decode(self._read_word(word_addr))
-            entry = (instr, _HANDLERS.get(instr.mnemonic, _h_unknown))
-            self._decode_cache[word_addr] = entry
+            entry = self._decode_at(word_addr)
         request = entry[1](self, entry[0])
         self.regs[0] = 0
         self.instructions_retired += 1
         return request
 
     def _step_block(self):
-        """Execute up to one basic block (vector engine).
+        """Execute up to one basic block.
 
         Replays the fused handler list for the block at ``pc``.  Exits
-        early — with the same architectural state the scalar engine
-        would have — on an MMIO request, a halt, or a self-modifying
+        early — with the same architectural state :meth:`step` would
+        leave — on an MMIO request, a halt, or a self-modifying
         store that invalidated the cache; the next call resumes at the
         updated pc (mid-block pcs simply become new block heads).
         """
@@ -226,10 +208,10 @@ class PicoRV32:
     def _build_block(self, head: int) -> List[Tuple]:
         """Decode the straight-line run starting at ``head``.
 
-        Shares the per-address decode cache with the scalar path.  An
+        Shares the per-address decode cache with :meth:`step`.  An
         undecodable word ends the block without being included: the
         error surfaces only if execution actually reaches it, exactly
-        as lazy scalar decoding would.
+        as lazy single-step decoding would.
         """
         entries: List[Tuple] = []
         mem_end = len(self.memory)
@@ -239,32 +221,36 @@ class PicoRV32:
             entry = dc.get(addr)
             if entry is None:
                 try:
-                    instr = decode(self._read_word(addr))
+                    entry = self._decode_at(addr)
                 except SoftcoreError:
                     if not entries:
-                        raise    # scalar step() would raise here too
+                        raise    # step() would raise here too
                     break
-                entry = (instr, _HANDLERS.get(instr.mnemonic, _h_unknown))
-                dc[addr] = entry
-            mnemonic = entry[0].mnemonic
-            # The x0-clear is only observable when a handler can write
-            # regs[0], i.e. when the decoded rd is 0 (branches/stores
-            # decode rd=0 too — the extra clear is a harmless no-op).
-            entries.append((entry[0], entry[1],
-                            mnemonic in _BB_STORES,
-                            entry[0].rd == 0))
+            entries.append(entry)
             addr += 4
-            if mnemonic in _BB_TERMINATORS:
+            if entry[0].mnemonic in _BB_TERMINATORS:
                 break
-        if self._bb_lo is None or head < self._bb_lo:
-            self._bb_lo = head
-        if addr > self._bb_hi:
-            self._bb_hi = addr
         return entries
 
-    def _execute(self, i: Instruction):
-        """Execute one decoded instruction (dispatch table)."""
-        return _HANDLERS.get(i.mnemonic, _h_unknown)(self, i)
+    def _decode_at(self, addr: int) -> Tuple:
+        """Decode the word at ``addr`` into the decode cache.
+
+        Entries are ``(instr, handler, is_store, clears_x0)``; blocks
+        hold the same tuples, so blocks that overlap (a pc after an
+        MMIO exit heads a new one) share them.  The x0-clear is only
+        observable when a handler can write regs[0], i.e. when the
+        decoded rd is 0 (branches/stores decode rd=0 too — the extra
+        clear is a harmless no-op).
+        """
+        instr = decode(self._read_word(addr))
+        entry = (instr, _HANDLERS.get(instr.mnemonic, _h_unknown),
+                 instr.mnemonic in _BB_STORES, instr.rd == 0)
+        self._decode_cache[addr] = entry
+        if self._code_lo is None or addr < self._code_lo:
+            self._code_lo = addr
+        if addr + 4 > self._code_hi:
+            self._code_hi = addr + 4
+        return entry
 
     @staticmethod
     def _divide(m: str, a: int, b: int) -> int:
@@ -294,44 +280,36 @@ class PicoRV32:
         return raw & _M32
 
     def _store(self, m: str, addr: int, value: int) -> None:
+        """Store to memory; a store into decoded code invalidates it
+        and ends the running block (self-modifying code)."""
         size = {"sw": 4, "sh": 2, "sb": 1}[m]
         self._check_mem(addr, size)
         self.memory[addr:addr + size] = (value & ((1 << (8 * size)) - 1)
                                          ).to_bytes(size, "little")
-
-    def _store_watched(self, m: str, addr: int, value: int) -> None:
-        """Vector-engine store: invalidate blocks on self-modification.
-
-        Only the block cache is flushed — the per-address decode cache
-        keeps its entries, exactly like the scalar engine, which never
-        re-decodes an already-executed pc.
-        """
-        PicoRV32._store(self, m, addr, value)
-        lo = self._bb_lo
-        if lo is not None and lo <= addr < self._bb_hi:
-            self._flush_blocks()
+        lo = self._code_lo
+        if lo is not None and addr < self._code_hi and addr + size > lo:
+            self._invalidate_range(addr, addr + size)
             self._bb_dirty = True
 
-    def _flush_blocks(self) -> None:
-        self._bb_cache.clear()
-        self._bb_lo = None
-        self._bb_hi = 0
-
     def _invalidate_range(self, lo: int, hi: int) -> None:
-        """Drop cached decodes/blocks overlapping ``[lo, hi)``."""
+        """Drop the decodes overlapping ``[lo, hi)`` and, if there were
+        any to check, every cached block."""
+        if self._code_lo is None or hi <= self._code_lo \
+                or lo >= self._code_hi:
+            return
         dc = self._decode_cache
-        stale = [addr for addr in dc if lo <= addr < hi]
-        for addr in stale:
+        for addr in [a for a in dc if lo - 3 <= a < hi]:
             del dc[addr]
-        if self._bb_lo is not None and lo < self._bb_hi \
-                and hi > self._bb_lo:
-            self._flush_blocks()
+        self._bb_cache.clear()
 
     # -- drivers --------------------------------------------------------------
 
     def run(self, max_instructions: int = 10_000_000) -> int:
         """Run until ``ebreak``; returns cycles.  MMIO access is an error
-        here — use :meth:`run_as_operator` for stream programs.
+        here — use :meth:`run_as_operator` for stream programs.  The
+        instruction budget is checked between basic blocks, so a
+        runaway program overshoots it by less than one block before
+        raising.
 
         With a fault injector attached, an attempt may take a spurious
         trap; the core then restores the loaded memory image, resets,
@@ -345,9 +323,8 @@ class PicoRV32:
                 self.faults.trap_point(self.core_id, attempt)
             start = self.instructions_retired
             # Armed fault traps need the per-instruction trap-point
-            # check, so they always run on the scalar stepper.
-            stepper = self._step_block \
-                if self._vector and trap_at is None else self.step
+            # check, so they run on the single-step path.
+            stepper = self._step_block if trap_at is None else self.step
             try:
                 while not self.halted:
                     if self.instructions_retired >= max_instructions:
@@ -377,8 +354,7 @@ class PicoRV32:
                 self.restarts += 1
                 if self._image_snapshot is not None:
                     self.memory[:] = self._image_snapshot
-                    self._decode_cache.clear()
-                    self._flush_blocks()
+                    self._invalidate_range(0, len(self.memory))
                 self.reset()
 
     def run_as_operator(self, io, in_ports: List[str], out_ports: List[str],
@@ -390,7 +366,7 @@ class PicoRV32:
         values) and runs the program to ``ebreak``.  Stream MMIO becomes
         blocking reads/writes on the named ports.
         """
-        stepper = self._step_block if self._vector else self.step
+        step_block = self._step_block
         while True:
             if data_image:
                 self.load_image(data_image, data_base)
@@ -401,7 +377,7 @@ class PicoRV32:
                         > max_instructions_per_frame):
                     raise SoftcoreError("softcore frame exceeded "
                                         "instruction budget")
-                request = stepper()
+                request = step_block()
                 if request is None:
                     continue
                 if request[0] == "read":

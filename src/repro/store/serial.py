@@ -27,6 +27,13 @@ STORE_VERSION = 1
 #: Header/payload separator (the header is a single JSON line).
 _SEP = b"\n"
 
+#: Every kind :func:`artifact_kind` can emit.  The payload digest does
+#: not cover the header, so :func:`decode_artifact` refuses any other
+#: kind as a corrupt header.
+ARTIFACT_KINDS = frozenset((
+    "netlist", "schedule", "bitstream", "softcore-binary",
+    "link-configuration", "implementation", "bundle", "object"))
+
 
 def artifact_kind(artifact: Any) -> str:
     """Classify an artefact for the header (best effort, by type name).
@@ -79,8 +86,9 @@ def decode_artifact(data: bytes, expect_key: str = "") -> Tuple[str, Any]:
     """Parse, verify and unpickle one stored artefact.
 
     Returns ``(kind, artifact)``.  Raises :class:`StoreError` on any
-    integrity problem: bad header, version mismatch, digest mismatch
-    (the payload re-hash), wrong key, or an unpicklable payload.
+    integrity problem: bad header, version mismatch, unknown kind,
+    digest mismatch (the payload re-hash), wrong key, or an
+    unpicklable payload.
     """
     head, sep, payload = data.partition(_SEP)
     if not sep:
@@ -103,6 +111,9 @@ def decode_artifact(data: bytes, expect_key: str = "") -> Tuple[str, Any]:
         raise StoreError(
             f"artifact key mismatch: file claims {header.get('key')!r}, "
             f"expected {expect_key!r}")
+    kind = header.get("kind")
+    if kind not in ARTIFACT_KINDS:
+        raise StoreError(f"corrupt artifact header: unknown kind {kind!r}")
     digest = hashlib.sha256(payload).hexdigest()
     if digest != header.get("sha256"):
         raise StoreError(
@@ -114,7 +125,7 @@ def decode_artifact(data: bytes, expect_key: str = "") -> Tuple[str, Any]:
         raise StoreError(
             f"artifact {header.get('key')!r} failed to deserialize: "
             f"{exc}") from exc
-    return header.get("kind", "object"), artifact
+    return kind, artifact
 
 
 def pack_artifacts(items: Iterable[Tuple[str, Any]]

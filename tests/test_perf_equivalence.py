@@ -9,16 +9,19 @@ them down two ways:
   straight transcription of the pre-optimisation ``NetworkSimulator``
   arbitration loop (dict-of-lists gathering, per-packet sorting,
   tuple-keyed link registers).  It is run head-to-head against the
-  production simulator on seeded traffic, including a reliable run
-  under injected faults, and every observable — cycle count, delivered
-  records, deflections, drained tokens, per-leaf stats — must match
-  exactly.  A Hypothesis sweep does the same over random small configs.
+  production simulator — on both its per-packet and its numpy router
+  — on seeded traffic, including a reliable run under injected faults,
+  and every observable — cycle count, delivered records, deflections,
+  drained tokens, per-leaf stats — must match exactly.  A Hypothesis
+  sweep does the same over random small configs.
 
 * **golden pinning** — deterministic fixtures with frozen outputs
   (cycle counts, deflection totals, sha256 digests of record/stat
-  streams) for the NoC, the cycle simulator, a full -O0 softcore
-  execution and one place-and-route case.  Any future "optimisation"
-  that shifts a single payload, latency or RNG draw fails loudly.
+  streams) for the NoC (on both routers), the cycle simulator, a full
+  -O0 softcore execution (on both ISS dispatch paths) and one
+  place-and-route case.  Any future
+  "optimisation" that shifts a single payload, latency or RNG draw
+  fails loudly.
 
 Plus direct ordering-semantics tests for :class:`LeafInterface`: the
 outbox is a deque with O(1) bounce re-injection, streams deliver
@@ -31,11 +34,13 @@ from __future__ import annotations
 import hashlib
 import random
 from collections import deque
-from typing import Dict, List, Optional, Tuple
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.noc import netsim
 from repro.noc.bft import BFTopology, SwitchId
 from repro.noc.leaf import LeafInterface
 from repro.noc.netsim import NetworkSimulator
@@ -43,6 +48,20 @@ from repro.noc.packet import AckPacket, DataPacket, Packet
 
 _UP = "up"
 _DOWN = "down"
+
+#: The NetworkSimulator's two router paths.  Every natural fixture here
+#: sits below ``VECTOR_MIN_LEAVES``, so the tests move the threshold to
+#: put the same fixture on either path.
+ROUTERS = ("scalar", "vector")
+
+
+@contextmanager
+def noc_router(name: str) -> Iterator[None]:
+    """Force every NetworkSimulator built inside onto one router path."""
+    threshold = 1 if name == "vector" else 1 << 30
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(netsim, "VECTOR_MIN_LEAVES", threshold)
+        yield
 
 
 def _sha16(value) -> str:
@@ -249,7 +268,8 @@ def _observables(sim, leaves: Dict[int, LeafInterface],
 def _run_head_to_head(n_leaves: int, n_ports: int, per_leaf: int,
                       seed: int, reliable: bool = False,
                       fault_plan=None, retransmit_timeout: int = 64):
-    """Run reference and production simulators on identical traffic."""
+    """Run the reference simulator and both production routers on
+    identical traffic."""
     topo = BFTopology(n_leaves)
 
     ref_leaves = _make_leaves(n_leaves, n_ports, per_leaf, seed,
@@ -258,19 +278,20 @@ def _run_head_to_head(n_leaves: int, n_ports: int, per_leaf: int,
         topo, ref_leaves,
         faults=fault_plan.noc_faults() if fault_plan else None)
     ref_cycles = ref.run(max_cycles=500_000)
-
-    fast_leaves = _make_leaves(n_leaves, n_ports, per_leaf, seed,
-                               reliable, retransmit_timeout)
-    fast = NetworkSimulator(
-        topo, fast_leaves,
-        faults=fault_plan.noc_faults() if fault_plan else None)
-    fast_cycles = fast.run(max_cycles=500_000)
-
-    assert fast_cycles == ref_cycles
-    got = _observables(fast, fast_leaves, n_ports)
     want = _observables(ref, ref_leaves, n_ports)
-    assert got == want
-    return got
+
+    for router in ROUTERS:
+        fast_leaves = _make_leaves(n_leaves, n_ports, per_leaf, seed,
+                                   reliable, retransmit_timeout)
+        with noc_router(router):
+            fast = NetworkSimulator(
+                topo, fast_leaves,
+                faults=fault_plan.noc_faults() if fault_plan else None)
+        fast_cycles = fast.run(max_cycles=500_000)
+
+        assert fast_cycles == ref_cycles, router
+        assert _observables(fast, fast_leaves, n_ports) == want, router
+    return want
 
 
 # --------------------------------------------------------------------------
@@ -323,12 +344,11 @@ class TestReferenceEquivalence:
 
 
 def _golden_drain(n_leaves, n_ports, per_leaf, seed, reliable=False,
-                  fault_plan=None, engine=None):
+                  fault_plan=None):
     leaves = _make_leaves(n_leaves, n_ports, per_leaf, seed, reliable)
     sim = NetworkSimulator(
         BFTopology(n_leaves), leaves,
-        faults=fault_plan.noc_faults() if fault_plan else None,
-        engine=engine)
+        faults=fault_plan.noc_faults() if fault_plan else None)
     cycles = sim.run(max_cycles=2_000_000)
     records = [(r.payload, r.latency, r.hops) for r in sim.delivered]
     stats = {leaf: (iface.received, iface.bounced, iface.sent,
@@ -339,42 +359,44 @@ def _golden_drain(n_leaves, n_ports, per_leaf, seed, reliable=False,
     return cycles, sim.total_deflections, records, stats
 
 
-#: Both engines must reproduce every pinned golden — the bit-identical
-#: contract behind sharing one artifact cache across engines.
-_ENGINES = ["scalar", "vector"]
+@pytest.fixture(params=ROUTERS)
+def router(request):
+    """Run the test body with the simulator forced onto one router."""
+    with noc_router(request.param):
+        yield request.param
 
 
 class TestGoldenNoC:
-    """Frozen outputs captured from the pre-optimisation simulator."""
+    """Frozen outputs captured from the pre-optimisation simulator.
 
-    @pytest.mark.parametrize("engine", _ENGINES)
-    def test_drain_small(self, engine):
+    Both router paths must reproduce every golden: which one runs
+    depends only on the network's size.
+    """
+
+    def test_drain_small(self, router):
         cycles, deflections, records, stats = _golden_drain(
-            16, 4, 60, 7, engine=engine)
+            16, 4, 60, 7)
         assert cycles == 312
         assert deflections == 3817
         assert len(records) == 960
         assert _sha16(records) == "e7f0e5fb5c963eae"
         assert _sha16(sorted(stats.items())) == "2790e17254d99daf"
 
-    @pytest.mark.parametrize("engine", _ENGINES)
-    def test_drain_mid(self, engine):
+    def test_drain_mid(self, router):
         cycles, deflections, records, stats = _golden_drain(
-            32, 4, 100, 3, engine=engine)
+            32, 4, 100, 3)
         assert cycles == 1161
         assert deflections == 43348
         assert len(records) == 3200
         assert _sha16(records) == "8f18c85aca854d47"
         assert _sha16(sorted(stats.items())) == "52b695d1fabe0a2a"
 
-    @pytest.mark.parametrize("engine", _ENGINES)
-    def test_reliable_drain(self, engine):
+    def test_reliable_drain(self, router):
         from repro.faults import FaultPlan
         plan = FaultPlan(seed=11, noc_drop_rate=0.01,
                          noc_corrupt_rate=0.005)
         cycles, deflections, records, stats = _golden_drain(
-            16, 2, 50, 11, reliable=True, fault_plan=plan,
-            engine=engine)
+            16, 2, 50, 11, reliable=True, fault_plan=plan)
         assert cycles == 1206
         assert deflections == 20694
         assert len(records) == 800
@@ -404,16 +426,25 @@ class TestGoldenCycleSim:
         assert _sha16(sorted(outputs.items())) == out_sha
 
 
+#: The softcore ISS's two dispatch paths: ``scalar`` single-steps every
+#: instruction through :meth:`PicoRV32.step` (the reference, and the
+#: path an armed fault trap takes); ``vector`` runs a whole cached basic
+#: block per dispatch (the default).
+ISS_PATHS = ("scalar", "vector")
+
+
 class TestGoldenSoftcore:
-    @pytest.mark.parametrize("engine", _ENGINES)
-    def test_o0_execution(self, engine):
-        """The table-driven decode must replay the original ISS run."""
+    @pytest.mark.parametrize("iss_path", ISS_PATHS)
+    def test_o0_execution(self, iss_path, monkeypatch):
+        """Both dispatch paths must replay the original ISS run."""
         from repro.core import BuildEngine, O0Flow
         from repro.rosetta import get_app
+        from repro.softcore.cpu import PicoRV32
 
+        if iss_path == "scalar":
+            monkeypatch.setattr(PicoRV32, "_step_block", PicoRV32.step)
         app = get_app("digit-recognition")
-        build = O0Flow(effort=0.1, sim_engine=engine).compile(
-            app.project, BuildEngine())
+        build = O0Flow(effort=0.1).compile(app.project, BuildEngine())
         outputs = build.execute(app.project.sample_inputs)
         cycles = build.softcore_cycles()
         assert outputs == {"Output_1": [7, 9, 5]}
@@ -422,8 +453,7 @@ class TestGoldenSoftcore:
 
 
 class TestGoldenPnR:
-    @pytest.mark.parametrize("engine", _ENGINES)
-    def test_place_and_route_case(self, engine):
+    def test_place_and_route_pinned(self):
         """One pinned annealer + PathFinder run (seeded RNG stream)."""
         from repro.fabric.shell import Overlay
         from repro.hls.estimate import estimate_operator
@@ -442,7 +472,7 @@ class TestGoldenPnR:
         grid = list(Overlay().pages)[0].page_type.grid()
 
         placement = place(pack_netlist(netlist), grid, seed=2,
-                          effort=0.15, engine=engine)
+                          effort=0.15)
         stats = placement.stats
         assert (stats.moves_evaluated, stats.moves_accepted,
                 stats.temperatures, stats.initial_cost,

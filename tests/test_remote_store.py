@@ -613,13 +613,16 @@ class TestHedgedReads:
             seed_client.put(key, art(i))
         seed_client.close()
 
+        # Every request stalls 10-50 ms (a deterministic injected
+        # delay), far past the hedge threshold: a warm loopback read
+        # alone can finish inside the 0.1 ms floor.
+        plan = FaultPlan(seed=7, transport_delay_rate=1.0)
         client = ShardedStoreClient(urls, retries=2,
                                     backoff_base=0.001,
-                                    hedge_quantile=0.0)
+                                    hedge_quantile=0.0,
+                                    faults=plan.transport_faults())
         # Prefill the latency window with near-zero samples so the
-        # hedge threshold collapses to its 0.1ms floor — every real
-        # loopback read (thread dispatch + framing round trip) counts
-        # as a straggler and must take the hedged path.
+        # hedge threshold collapses to its 0.1ms floor.
         client._latencies.extend([1e-9] * 8)
         for i, key in enumerate(KEYS[:8]):
             assert client.get(key) == art(i)

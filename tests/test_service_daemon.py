@@ -719,6 +719,46 @@ class TestHealthAndDrain:
             thread.join(timeout=60)        # drains to empty, exits
             assert not thread.is_alive()
 
+    @staticmethod
+    def _wait_finished(client, ticket) -> None:
+        deadline = time.monotonic() + 120
+        while client.status(ticket)["state"] not in ("done", "failed"):
+            assert time.monotonic() < deadline, "build never finished"
+            time.sleep(0.05)
+
+    def test_drain_keeps_uncollected_result(self, tmp_path):
+        """A build that finished before its client asked is still
+        delivered after the drain: the empty backlog alone does not
+        stop the daemon while a result is uncollected."""
+        client, thread = _serve_thread(tmp_path / "state", slots=1)
+        try:
+            ticket = client.submit(APP, effort=EFFORT)
+            self._wait_finished(client, ticket)
+            client.drain()
+            time.sleep(0.5)                # well past the idle poll
+            assert thread.is_alive()
+            summary, manifest = client.result(ticket, timeout=30)
+            assert summary["ok"] and json.loads(manifest)
+        finally:
+            client.close()
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+
+    def test_drain_linger_is_bounded(self, tmp_path, monkeypatch):
+        """A result nobody collects holds the drain only for
+        ``DRAIN_LINGER_SECONDS``."""
+        from repro.service import daemon as daemon_module
+        monkeypatch.setattr(daemon_module, "DRAIN_LINGER_SECONDS", 0.5)
+        client, thread = _serve_thread(tmp_path / "state", slots=1)
+        try:
+            ticket = client.submit(APP, effort=EFFORT)
+            self._wait_finished(client, ticket)
+            client.drain()
+        finally:
+            client.close()
+            thread.join(timeout=8)         # < the default linger
+            assert not thread.is_alive()
+
     def test_overloaded_submit_retries_to_admission(self, tmp_path):
         """End-to-end admission control: a tiny queue bound sheds the
         flood with ``retry_after``, and ``submit(wait=...)`` rides the

@@ -10,7 +10,7 @@ operator specs — the fact the cross-process cache rests on.
 import pickle
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import StoreError
 from repro.core.build import BuildCache, BuildEngine, content_key
@@ -29,6 +29,7 @@ from repro.store import (
     decode_artifact,
     encode_artifact,
 )
+from repro.store.serial import ARTIFACT_KINDS
 from repro.dataflow import DataflowGraph, Operator
 from repro.fabric.page import page_by_number
 
@@ -88,6 +89,7 @@ class TestSerialization:
             assert kind == expect_kind
             assert artifact_kind(artifact) == expect_kind
             assert pickle.dumps(back) == pickle.dumps(artifact)
+        assert ARTIFACT_KINDS == set(sample_artifacts()) | {"object"}
 
     def test_key_mismatch_rejected(self):
         data = encode_artifact("aaa", "payload")
@@ -98,6 +100,15 @@ class TestSerialization:
         data = encode_artifact("k1", {"v": 1})
         with pytest.raises(StoreError):
             decode_artifact(data[:-3] + b"xxx", expect_key="k1")
+
+    def test_unknown_kind_rejected(self):
+        # The payload digest does not cover the header, so a mangled
+        # kind must be refused by name.
+        data = encode_artifact("k1", "payload")
+        for mangled in (b'"kind": " bject"', b'"kind": 7', b'"knd": "object"'):
+            bad = data.replace(b'"kind": "object"', mangled)
+            with pytest.raises(StoreError, match="kind"):
+                decode_artifact(bad, expect_key="k1")
 
     def test_version_skew_rejected(self):
         data = encode_artifact("k1", "payload")
@@ -299,6 +310,7 @@ class TestSerialFuzz:
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(min_value=0, max_value=200), st.binary(max_size=8))
+    @example(cut=37, extra=b" ")   # "object" -> " bject" in the header
     def test_mutated_valid_encoding(self, cut, extra):
         """Truncations/suffixes of a real encoding decode fully or fail
         structurally — no exception outside StoreError."""

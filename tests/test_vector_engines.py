@@ -1,13 +1,15 @@
-"""Scalar/vector engine equivalence and big-device scaling tests.
+"""Fast-path equivalence and big-device scaling tests.
 
-The ``sim_engine`` knob (:mod:`repro.simengine`) selects between the
-original scalar interpreters — the golden reference — and their
-numpy-backed vector twins for the three hottest simulation kernels:
-the deflection-routed NoC, the annealing placer and the softcore ISS.
-The contract is **bit identity**: same cycles, same delivered records,
-same placements, same architectural state, under any seed.  These
-tests sweep that contract with hypothesis and pin the new scaled
-multi-SLR fabrics (U280, VU19P) with content digests.
+Two simulation kernels pick a fast path themselves: the NoC simulator
+takes its numpy router from ``VECTOR_MIN_LEAVES`` leaves up, and the
+softcore ISS dispatches through a basic-block cache except while an
+injected trap is armed.  The contract is **bit identity** with the
+slow path — same cycles, same delivered records, same architectural
+state, under any seed.  These tests sweep that contract with
+hypothesis (moving the NoC threshold, or swapping the ISS block
+stepper for :meth:`PicoRV32.step`, so the same fixture runs both
+ways) and pin the scaled multi-SLR fabrics (U280, VU19P) with content
+digests.
 """
 
 from __future__ import annotations
@@ -17,17 +19,17 @@ import random
 from typing import Dict
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from repro import simengine
 from repro.errors import FabricError, NoCError
 from repro.fabric import (Overlay, XCU50, XCU280, XCVU19P,
                           scaled_floorplan)
 from repro.noc.bft import BFTopology
 from repro.noc.leaf import LeafInterface
-from repro.noc.netsim import NetworkSimulator
-from repro.simengine import (engine_scope, resolve_engine,
-                             set_default_engine, set_thread_engine)
+from repro.noc.netsim import VECTOR_MIN_LEAVES, NetworkSimulator
+from repro.softcore import PicoRV32, assemble, encode
+from repro.softcore.isa import Instruction
+from tests.test_perf_equivalence import ROUTERS, noc_router
 
 
 def _sha16(value) -> str:
@@ -35,99 +37,35 @@ def _sha16(value) -> str:
 
 
 # --------------------------------------------------------------------------
-# knob resolution layering
+# NoC: per-packet router vs numpy router
 # --------------------------------------------------------------------------
 
 
-class TestEngineResolution:
-    def test_default_is_scalar(self):
-        assert resolve_engine() == "scalar"
+class TestRouterSelection:
+    @pytest.mark.parametrize("device,vector", [
+        (XCU50, False), (XCU280, False), (XCVU19P, True)])
+    def test_overlay_networks(self, device, vector):
+        topo = BFTopology.for_overlay(Overlay.for_device(device))
+        sim = NetworkSimulator(topo)
+        assert sim._vector is vector
+        assert (topo.size >= VECTOR_MIN_LEAVES) is vector
 
-    def test_explicit_wins(self):
-        with engine_scope("scalar"):
-            assert resolve_engine("vector") == "vector"
-
-    def test_thread_scope_beats_process_default(self):
-        previous = set_default_engine("scalar")
-        try:
-            with engine_scope("vector"):
-                assert resolve_engine() == "vector"
-            assert resolve_engine() == "scalar"
-        finally:
-            set_default_engine(previous)
-
-    def test_process_default(self):
-        previous = set_default_engine("vector")
-        try:
-            assert resolve_engine() == "vector"
-        finally:
-            set_default_engine(previous)
-        assert resolve_engine() == "scalar"
-
-    def test_none_scope_is_noop(self):
-        with engine_scope("vector"):
-            with engine_scope(None) as resolved:
-                assert resolved == "vector"
-            assert resolve_engine() == "vector"
-
-    def test_scope_restores_on_exception(self):
-        with pytest.raises(RuntimeError):
-            with engine_scope("vector"):
-                raise RuntimeError("boom")
-        assert resolve_engine() == "scalar"
-
-    def test_nested_scopes(self):
-        with engine_scope("vector"):
-            with engine_scope("scalar"):
-                assert resolve_engine() == "scalar"
-            assert resolve_engine() == "vector"
-
-    def test_set_thread_engine_clear(self):
-        set_thread_engine("vector")
-        try:
-            assert resolve_engine() == "vector"
-        finally:
-            set_thread_engine(None)
-        assert resolve_engine() == "scalar"
-
-    @pytest.mark.parametrize("bad", ["numpy", "", "SCALAR"])
-    def test_unknown_engine_rejected(self, bad):
-        with pytest.raises(ValueError):
-            resolve_engine(bad)
-        with pytest.raises(ValueError):
-            set_default_engine(bad)
-        with pytest.raises(ValueError):
-            set_thread_engine(bad)
-
-    def test_service_rejects_unknown_engine(self, tmp_path):
-        from repro.errors import ServiceError
-        from repro.service.core import CompileService, ServiceConfig
-
-        service = CompileService(ServiceConfig(cache_dir=str(tmp_path)))
-        try:
-            with pytest.raises(ServiceError) as err:
-                service.make_flow("o1", 0.1, sim_engine="numpy")
-            assert err.value.kind == "bad-request"
-            flow = service.make_flow("o1", 0.1, sim_engine="vector")
-            assert flow.sim_engine == "vector"
-        finally:
-            service.close()
+    def test_threshold_is_inclusive(self):
+        assert NetworkSimulator(BFTopology(VECTOR_MIN_LEAVES))._vector
+        assert not NetworkSimulator(
+            BFTopology(VECTOR_MIN_LEAVES // 2))._vector
 
 
-# --------------------------------------------------------------------------
-# NoC: scalar vs vector
-# --------------------------------------------------------------------------
-
-
-def _drain_observables(engine: str, n_leaves: int, n_ports: int,
+def _drain_observables(router: str, n_leaves: int, n_ports: int,
                        per_leaf: int, seed: int,
                        reliable: bool = False, faults=None) -> Dict:
     rng = random.Random(seed)
     kwargs = dict(reliable=True, retransmit_timeout=32) if reliable else {}
     leaves = {i: LeafInterface(i, n_ports=n_ports, **kwargs)
               for i in range(n_leaves)}
-    sim = NetworkSimulator(BFTopology(n_leaves), leaves, faults=faults,
-                           engine=engine)
+    with noc_router(router):
+        sim = NetworkSimulator(BFTopology(n_leaves), leaves,
+                               faults=faults)
     for i in range(n_leaves):
         for p in range(n_ports):
             leaves[i].bind(p, rng.randrange(n_leaves), p)
@@ -152,6 +90,8 @@ def _drain_observables(engine: str, n_leaves: int, n_ports: int,
 
 
 class TestNoCEngineEquivalence:
+    """The same drain on both router paths, forced via the threshold."""
+
     @settings(max_examples=25, deadline=None)
     @given(n_leaves=st.sampled_from([4, 8, 16]),
            n_ports=st.integers(min_value=1, max_value=4),
@@ -179,57 +119,9 @@ class TestNoCEngineEquivalence:
         assert scalar == vector
         assert len(scalar["records"]) == 8 * 15
 
-    def test_ambient_engine_used(self):
-        with engine_scope("vector"):
-            sim = NetworkSimulator(BFTopology(4),
-                                   {0: LeafInterface(0, 1)})
-        assert sim.engine == "vector"
-
 
 # --------------------------------------------------------------------------
-# placer: scalar vs vector
-# --------------------------------------------------------------------------
-
-
-def _placement_fixture():
-    from repro.hls.estimate import estimate_operator
-    from repro.hls.netlist import synthesize_netlist
-    from repro.pnr.pack import pack_netlist
-    from repro.rosetta import get_app
-
-    app = get_app("digit-recognition")
-    op_name, op = next(iter(app.project.graph.operators.items()))
-    estimate = estimate_operator(op.hls_spec)
-    netlist = synthesize_netlist(
-        op_name, estimate, n_ports=len(op.inputs) + len(op.outputs))
-    grid = list(Overlay().pages)[0].page_type.grid()
-    return netlist, grid
-
-
-class TestPlacerEngineEquivalence:
-    @settings(max_examples=8, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=500),
-           effort=st.sampled_from([0.05, 0.15, 0.3]))
-    def test_placements_bit_identical(self, seed, effort):
-        from repro.pnr.pack import pack_netlist
-        from repro.pnr.placer import place
-
-        netlist, grid = _placement_fixture()
-        runs = {}
-        for engine in simengine.ENGINES:
-            placement = place(pack_netlist(netlist), grid, seed=seed,
-                              effort=effort, engine=engine)
-            stats = placement.stats
-            runs[engine] = (list(placement.locations),
-                            stats.moves_evaluated, stats.moves_accepted,
-                            stats.temperatures,
-                            round(stats.initial_cost, 9),
-                            round(stats.final_cost, 9))
-        assert runs["scalar"] == runs["vector"]
-
-
-# --------------------------------------------------------------------------
-# softcore ISS: scalar vs vector
+# softcore ISS: single-step vs basic-block cache
 # --------------------------------------------------------------------------
 
 
@@ -251,14 +143,15 @@ def _iss_spec(tokens: int):
     return b.build()
 
 
-def _iss_observables(engine: str, spec, inputs) -> Dict:
+def _iss_observables(spec, inputs, single_step: bool) -> Dict:
+    """Run ``spec`` on the ISS as a dataflow operator; ``single_step``
+    swaps the block stepper for :meth:`PicoRV32.step`."""
     from repro.dataflow import DataflowGraph, Operator, run_graph
     from repro.softcore import compile_operator
 
     compiled = compile_operator(spec)
     telemetry: Dict[str, object] = {}
-    op = Operator(spec.name,
-                  compiled.make_body(telemetry=telemetry, engine=engine),
+    op = Operator(spec.name, compiled.make_body(telemetry=telemetry),
                   spec.input_ports, spec.output_ports)
     g = DataflowGraph(f"eq_{spec.name}")
     g.add(op)
@@ -266,15 +159,94 @@ def _iss_observables(engine: str, spec, inputs) -> Dict:
         g.expose_input(port, f"{spec.name}.{port}")
     for port in spec.output_ports:
         g.expose_output(port, f"{spec.name}.{port}")
-    outputs = run_graph(g, inputs)
+    with pytest.MonkeyPatch.context() as mp:
+        if single_step:
+            mp.setattr(PicoRV32, "_step_block", PicoRV32.step)
+        outputs = run_graph(g, inputs)
     cpu = telemetry[spec.name]
     return {"outputs": outputs,
+            "cycles": cpu.cycles,
             "retired": cpu.instructions_retired,
             "regs": list(cpu.regs),
             "pc": cpu.pc}
 
 
+#: Random loop programs: operands in x0..x8 (x0 included, so writes to
+#: it are exercised); x9 counts iterations, x10 points at a data area
+#: and x11 holds the word a "patch" op stores over a loop-body op.
+_ALU_R = ("add", "sub", "sll", "slt", "sltu", "xor", "srl", "sra", "or",
+          "and", "mul", "mulh", "mulhu", "div", "remu")
+_ALU_I = ("addi", "slti", "sltiu", "xori", "ori", "andi")
+_REG = st.integers(min_value=0, max_value=8)
+_IMM = st.integers(min_value=-2048, max_value=2047)
+_DATA_BASE = 0x400
+_BODY_OP = st.one_of(
+    st.tuples(st.sampled_from(_ALU_R), _REG, _REG, _REG),
+    st.tuples(st.sampled_from(_ALU_I), _REG, _REG, _IMM),
+    st.tuples(st.sampled_from(("lw", "sw")), _REG,
+              st.integers(min_value=0, max_value=15)),
+    st.tuples(st.just("patch"), st.integers(min_value=0, max_value=63)),
+)
+
+
+def _loop_program(values, iterations: int, body, patch: Instruction
+                  ) -> bytes:
+    prologue = [("li", reg, value) for reg, value in enumerate(values, 1)]
+    prologue += [("li", 10, _DATA_BASE), ("li", 11, encode(patch)),
+                 ("li", 9, iterations), "top:"]
+    head = len(assemble(prologue))
+    ops = []
+    for op in body:
+        if op[0] == "patch":
+            # Every body op is one instruction, so op k sits at 4k.
+            ops.append(("sw", 11, 0, head + 4 * (op[1] % len(body))))
+        elif op[0] in ("lw", "sw"):
+            ops.append((op[0], op[1], 10, 4 * op[2]))
+        else:
+            ops.append(op)
+    return assemble(prologue + ops + [("addi", 9, 9, -1),
+                                      ("bne", 9, 0, "top"), ("ebreak",)])
+
+
+def _cpu_state(cpu: PicoRV32):
+    return (list(cpu.regs), cpu.pc, cpu.cycles, cpu.instructions_retired,
+            bytes(cpu.memory))
+
+
 class TestISSEngineEquivalence:
+    @settings(max_examples=60, deadline=None)
+    @given(values=st.lists(st.integers(min_value=0, max_value=0xFFFFFFFF),
+                           min_size=8, max_size=8),
+           iterations=st.integers(min_value=1, max_value=4),
+           body=st.lists(_BODY_OP, min_size=1, max_size=12),
+           patch_rd=st.integers(min_value=1, max_value=8),
+           patch_imm=_IMM)
+    # A write to x0 heading the loop's block, then a read of x0.
+    @example(values=[5] * 8, iterations=2,
+             body=[("addi", 0, 1, 1), ("add", 2, 0, 0)],
+             patch_rd=1, patch_imm=0)
+    # A store over the next, not yet executed op of the same block.
+    @example(values=[0] * 8, iterations=1,
+             body=[("patch", 1), ("patch", 0)], patch_rd=1, patch_imm=0)
+    def test_standalone_programs_bit_identical(self, values, iterations,
+                                               body, patch_rd, patch_imm):
+        """Random loops — x0 writes, loads, stores and stores over the
+        loop's own code — leave the same state under :meth:`step` as
+        under the block cache."""
+        code = _loop_program(values, iterations, body,
+                             Instruction("addi", rd=patch_rd, rs1=patch_rd,
+                                         imm=patch_imm))
+        budget = 10_000     # far above any generated program's length
+        stepped = PicoRV32()
+        stepped.load_image(code)
+        while not stepped.halted:
+            assert stepped.instructions_retired < budget
+            assert stepped.step() is None
+        blocked = PicoRV32()
+        blocked.load_image(code)
+        blocked.run(max_instructions=budget)
+        assert _cpu_state(stepped) == _cpu_state(blocked)
+
     @settings(max_examples=12, deadline=None)
     @given(data=st.lists(
         st.tuples(st.integers(min_value=0, max_value=0xFFFFFFFF),
@@ -283,10 +255,10 @@ class TestISSEngineEquivalence:
     def test_architectural_state_bit_identical(self, data):
         spec = _iss_spec(len(data))
         inputs = {"a": [a for a, _ in data], "b": [b for _, b in data]}
-        scalar = _iss_observables("scalar", spec, inputs)
-        vector = _iss_observables("vector", spec, inputs)
-        assert scalar == vector
-        assert len(scalar["outputs"]["o"]) == len(data)
+        stepped = _iss_observables(spec, inputs, single_step=True)
+        blocked = _iss_observables(spec, inputs, single_step=False)
+        assert stepped == blocked
+        assert len(stepped["outputs"]["o"]) == len(data)
 
 
 # --------------------------------------------------------------------------
@@ -395,14 +367,15 @@ class TestMultiSLRTopology:
 
     def test_scaled_drain_on_overlay_topology(self):
         # End-to-end: a non-power-of-two leaf count (41) drains cleanly
-        # under both engines with identical observables.
+        # on both routers with identical observables.
         topo = BFTopology.for_overlay(Overlay.for_device(XCU280))
         results = {}
-        for engine in simengine.ENGINES:
+        for router in ROUTERS:
             rng = random.Random(7)
             leaves = {i: LeafInterface(i, n_ports=2)
                       for i in range(topo.n_leaves)}
-            sim = NetworkSimulator(topo, leaves, engine=engine)
+            with noc_router(router):
+                sim = NetworkSimulator(topo, leaves)
             for i in range(topo.n_leaves):
                 for p in range(2):
                     leaves[i].bind(p, rng.randrange(topo.n_leaves), p)
@@ -414,7 +387,7 @@ class TestMultiSLRTopology:
             if records and not isinstance(records[0], tuple):
                 records = [(r.payload, r.latency, r.hops)
                            for r in records]
-            results[engine] = (cycles, list(records),
+            results[router] = (cycles, list(records),
                                sim.total_deflections)
         assert results["scalar"] == results["vector"]
         assert len(results["scalar"][1]) == topo.n_leaves * 5
