@@ -368,7 +368,7 @@ class CompileService:
         except KeyError:
             raise ServiceError(f"unknown flow {name!r}; choose from "
                                f"{sorted(FLOWS)}", kind="bad-request")
-        kwargs: Dict[str, Any] = {"effort": effort}
+        kwargs: Dict[str, Any] = {"effort": effort, "seed": seed}
         # Hedged page-compile retries for the o1 cluster — but not
         # during brownout, when speculation is the wrong spend.
         if name in ("o0", "o1") \

@@ -35,14 +35,15 @@ that fires an ``asyncio.Event`` via ``call_soon_threadsafe``, so 64+
 concurrent waiters cost 64 events, not 64 of the executor's ~32
 threads.
 
-With ``--store`` the daemon fronts a shard fleet: the service's
-:class:`~repro.store.remote.ShardedStoreClient` is shared with build
-workers, while the daemon's own traffic — periodic write-behind
-reconciles, the final reconcile-on-close, per-shard health probes for
-``stats`` — rides an :class:`~repro.store.remote.AsyncShardedStoreClient`
-facade natively on the loop.  Tenant tokens (``--token T=SECRET``)
-gate ``submit`` with ``kind="auth"`` errors so per-tenant quotas
-cannot be bypassed by lying about the tenant field.
+With ``--store`` the daemon fronts a shard fleet through the service's
+one :class:`~repro.store.remote.ShardedStoreClient`, the client the
+build workers use too.  The daemon starts that client's reconciler
+thread, which drains write-behind debts every ``reconcile_interval``
+seconds; ``stats`` runs the per-shard health probes (``ping_all``) in
+the executor, off the loop; and the final reconcile is the client's
+own close, which the service's close runs.  Tenant tokens
+(``--token T=SECRET``) gate ``submit`` with ``kind="auth"`` errors so
+per-tenant quotas cannot be bypassed by lying about the tenant field.
 
 State (store, session journals, leases) lives under ``--state DIR``; a
 daemon killed mid-build and restarted over the same directory finds
@@ -65,9 +66,7 @@ import sys
 import time
 from typing import Any, Dict, Optional, Tuple
 
-from repro.errors import (DeadlineExceeded, PLDError, ServiceError,
-                          StoreError)
-from repro.store.remote.aio import AsyncShardedStoreClient
+from repro.errors import DeadlineExceeded, PLDError, ServiceError
 from repro.store.remote.framing import (recv_frame_async,
                                         send_frame_async)
 from repro.service.core import (CompileRequest, CompileService,
@@ -201,8 +200,6 @@ class ServeDaemon:
         self._server: Optional[asyncio.AbstractServer] = None
         self._stopping = asyncio.Event()
         self._started = time.monotonic()
-        self._store_async: Optional[AsyncShardedStoreClient] = None
-        self._reconcile_task: Optional[asyncio.Task] = None
         self._drain_task: Optional[asyncio.Task] = None
         self.connections = 0
         self.active_connections = 0
@@ -210,7 +207,6 @@ class ServeDaemon:
         self.requests = 0
         #: Requests read but not yet answered; a drain lets them finish.
         self.in_flight = 0
-        self.reconciled = 0
         #: Clients currently parked in ``result`` (and the high-water
         #: mark) — each costs one asyncio.Event, never a thread.
         self.waiters = 0
@@ -223,6 +219,12 @@ class ServeDaemon:
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(
             None, functools.partial(fn, *args, **kwargs))
+
+    @property
+    def _fleet(self):
+        """The service's shard-fleet client, or None over a local store."""
+        store = self.service.store
+        return store if hasattr(store, "fresh_get") else None
 
     def _check_auth(self, header: Dict[str, Any]) -> None:
         """Shared-secret tenant auth; no tokens configured = open."""
@@ -348,8 +350,9 @@ class ServeDaemon:
             "total": self.connections,
             "rejected": self.rejected_connections,
             "max": self.max_connections}
-        if self._store_async is not None:
-            health = await self._store_async.ping_all()
+        fleet = self._fleet
+        if fleet is not None:
+            health = await self._call(fleet.ping_all)
             stats["shard_health"] = health
             stats["shards_up"] = sum(1 for up in health.values() if up)
         return stats, b""
@@ -452,38 +455,13 @@ class ServeDaemon:
             return {"ok": False, "error": f"{type(exc).__name__}: {exc}",
                     "kind": "internal"}, b""
 
-    # -- the async store path ------------------------------------------------
-
-    async def _reconcile_loop(self) -> None:
-        """Background write-behind drain over asyncio sockets — owed
-        puts reach a healed shard without parking executor threads."""
-        assert self._store_async is not None
-        while not self._stopping.is_set():
-            await asyncio.sleep(self.reconcile_interval)
-            try:
-                self.reconciled += await self._store_async.reconcile()
-            except StoreError:
-                pass                      # next pass retries
-
-    async def _close_store_async(self) -> None:
-        """Reconcile-on-close: settle write-behind debts before the
-        streams go away.  The sync client underneath stays open — the
-        service's own close() runs its final sync reconcile too."""
-        if self._store_async is None:
-            return
-        try:
-            self.reconciled += await self._store_async.reconcile()
-        except StoreError:
-            pass
-        await self._store_async.close()
-        self._store_async = None
-
     # -- lifecycle -----------------------------------------------------------
 
     async def start(self) -> Tuple[str, int]:
-        store = self.service.store
-        if store is not None and hasattr(store, "fresh_get"):
-            self._store_async = AsyncShardedStoreClient.over(store)
+        fleet = self._fleet
+        # An interval of 0 turns the reconciler off (it would spin).
+        if fleet is not None and self.reconcile_interval > 0:
+            fleet.start_reconciler(self.reconcile_interval)
         self._server = await asyncio.start_server(
             self._handle, host=self.host, port=self.port)
         sockname = self._server.sockets[0].getsockname()
@@ -491,9 +469,6 @@ class ServeDaemon:
         return sockname[0], sockname[1]
 
     async def serve_until_stopped(self) -> None:
-        if self._store_async is not None and self.reconcile_interval:
-            self._reconcile_task = asyncio.create_task(
-                self._reconcile_loop())
         await self._stopping.wait()
         if self._drain_task is not None and not self._drain_task.done():
             # A shutdown op raced an in-progress drain; the stop wins.
@@ -503,14 +478,6 @@ class ServeDaemon:
             except asyncio.CancelledError:
                 pass
             self._drain_task = None
-        if self._reconcile_task is not None:
-            self._reconcile_task.cancel()
-            try:
-                await self._reconcile_task
-            except asyncio.CancelledError:
-                pass
-            self._reconcile_task = None
-        await self._close_store_async()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -554,7 +521,6 @@ def serve(cache_dir: str, host: str = "127.0.0.1", port: int = 0,
           trace: Optional[str] = None,
           store_urls: Optional[str] = None,
           tokens: Optional[Dict[str, str]] = None,
-          reconcile_interval: float = DEFAULT_RECONCILE_INTERVAL,
           daemon_id: Optional[str] = None,
           max_queued: Optional[int] = None,
           max_queued_per_tenant: Optional[int] = None,
@@ -613,7 +579,6 @@ def serve(cache_dir: str, host: str = "127.0.0.1", port: int = 0,
         notify(f"found {len(interrupted)} interrupted session(s): "
                f"{', '.join(interrupted)} — they resume on next submit")
     daemon = ServeDaemon(service, host=host, port=port, tokens=tokens,
-                         reconcile_interval=reconcile_interval,
                          max_connections=max_connections,
                          frame_timeout=frame_timeout)
 

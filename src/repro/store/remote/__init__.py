@@ -11,10 +11,6 @@ degraded mode where a dead shard means slower compiles (local cache
 misses), never failed ones.
 """
 
-from repro.store.remote.aio import (
-    AsyncShardClient,
-    AsyncShardedStoreClient,
-)
 from repro.store.remote.client import (
     DEFAULT_BACKOFF_BASE,
     DEFAULT_QUARANTINE_SECONDS,
@@ -34,8 +30,6 @@ from repro.store.remote.framing import (
 from repro.store.remote.server import StoreServer, serve_forever
 
 __all__ = [
-    "AsyncShardClient",
-    "AsyncShardedStoreClient",
     "DEFAULT_BACKOFF_BASE",
     "DEFAULT_QUARANTINE_SECONDS",
     "DEFAULT_RETRIES",

@@ -74,6 +74,10 @@ LATENCY_WINDOW = 64
 #: Artefacts per multi_put frame when draining write-behind queues.
 RECONCILE_BATCH = 32
 
+#: What :meth:`ShardedStoreClient._guarded` returns when a shard call
+#: took the degraded path instead of answering.
+_DEGRADED = object()
+
 
 def parse_store_urls(spec: str) -> List[str]:
     """Split ``tcp://h:p,tcp://h:p`` into validated shard URLs."""
@@ -369,8 +373,10 @@ class ShardedStoreClient:
         was_open = self.breaker.failures(url) \
             >= self.breaker.failure_threshold
         self.breaker.record_success(url)
+        # Any answered request ends an outage, tripped or not, so the
+        # shard's next outage is traced again.
+        self._degraded_seen.discard(url)
         if was_open:
-            self._degraded_seen.discard(url)
             self.tracer.shard_health(url, "healed")
 
     def _degraded(self, url: str, op: str) -> None:
@@ -381,6 +387,33 @@ class ShardedStoreClient:
         if url not in self._degraded_seen:
             self._degraded_seen.add(url)
             self.tracer.shard_health(url, "degraded", op=op)
+
+    def _guarded(self, url: str, op: str, call, *args):
+        """``call(*args)`` against shard ``url``, through its breaker.
+
+        Returns the call's result, or :data:`_DEGRADED` when the caller
+        must take its degraded path: the shard is quarantined (no
+        request is made) or the call raised :class:`StoreError`.  That
+        covers the whole failure family: the retry budget exhausting
+        (:class:`StoreUnavailableError`), but also a shard that
+        *responds* with an error — disk full, a corrupt stored artifact
+        failing decode — which is more dangerous than a dead one and
+        must degrade just the same.  ``strict`` re-raises instead.
+        ``op`` (``"get"``/``"put"``) picks the degraded counter.
+        """
+        if self.breaker.is_open(url):
+            self._degraded(url, op)
+            return _DEGRADED
+        try:
+            result = call(*args)
+        except StoreError:
+            if self.strict:
+                raise
+            self._record_failure(url)
+            self._degraded(url, op)
+            return _DEGRADED
+        self._record_success(url)
+        return result
 
     # -- the engine-cache contract -------------------------------------------
 
@@ -393,25 +426,10 @@ class ShardedStoreClient:
             self.local_hits += 1
             return artifact
         url = self.shard_for(key)
-        if self.breaker.is_open(url):
-            self._degraded(url, "get")
+        artifact = self._guarded(url, "get", self._remote_get, url, key)
+        if artifact is _DEGRADED:
             self.misses += 1
             return None
-        try:
-            artifact = self._remote_get(url, key)
-        except StoreError:
-            # StoreError covers the whole failure family: the retry
-            # budget exhausting (StoreUnavailableError), but also a
-            # shard that *responds* with an error — disk full, a
-            # corrupt stored artifact failing decode — which is more
-            # dangerous than a dead one and must degrade just the same.
-            if self.strict:
-                raise
-            self._record_failure(url)
-            self._degraded(url, "get")
-            self.misses += 1
-            return None
-        self._record_success(url)
         if artifact is None:
             self.remote_misses += 1
             self.misses += 1
@@ -428,24 +446,9 @@ class ShardedStoreClient:
         write-behind queue entry for :meth:`reconcile`."""
         self.fallback.put(key, artifact)
         url = self.shard_for(key)
-        if self.breaker.is_open(url):
-            self._degraded(url, "put")
+        if self._guarded(url, "put", self._remote_put, url, key,
+                         artifact) is _DEGRADED:
             self._owe(url, key)
-            return
-        try:
-            payload = encode_artifact(key, artifact)
-            self.shards[url].request("put", key, payload)
-        except StoreError:
-            # Same family-wide catch as get(): a shard rejecting the
-            # put (ok:false — e.g. its disk is full) degrades exactly
-            # like an unreachable one.
-            if self.strict:
-                raise
-            self._record_failure(url)
-            self._degraded(url, "put")
-            self._owe(url, key)
-            return
-        self._record_success(url)
 
     def fresh_get(self, key: str):
         """Remote-first read for *mutable* keys (session metadata).
@@ -460,27 +463,19 @@ class ShardedStoreClient:
         untouched — metadata traffic is not build dedup.
         """
         url = self.shard_for(key)
-        if self.breaker.is_open(url):
-            self._degraded(url, "get")
+        artifact = self._guarded(url, "get", self._remote_get, url, key)
+        if artifact is _DEGRADED:
             return self.fallback.get(key)
-        try:
-            artifact = self._remote_get(url, key)
-        except StoreError:
-            if self.strict:
-                raise
-            self._record_failure(url)
-            self._degraded(url, "get")
-            return self.fallback.get(key)
-        self._record_success(url)
         if artifact is not None:
             self.fallback.put(key, artifact)
         return artifact
 
-    def _owe(self, url: str, key: str) -> None:
+    def _owe(self, url: str, *keys: str) -> None:
         with self._pending_lock:
             queue = self.pending.setdefault(url, [])
-            if key not in queue:
-                queue.append(key)
+            for key in keys:
+                if key not in queue:
+                    queue.append(key)
 
     # -- batched traffic -----------------------------------------------------
 
@@ -504,24 +499,11 @@ class ShardedStoreClient:
             else:
                 by_shard.setdefault(self.shard_for(key), []).append(key)
         for url, shard_keys in by_shard.items():
-            if self.breaker.is_open(url):
-                self._degraded(url, "get")
+            items = self._guarded(url, "get", self._remote_multi_get, url,
+                                  shard_keys)
+            if items is _DEGRADED:
                 self.misses += len(shard_keys)
                 continue
-            try:
-                response, payload = self.shards[url].request(
-                    "multi_get", extra={"keys": shard_keys})
-                items = unpack_artifacts(
-                    list(response.get("found", [])),
-                    [int(s) for s in response.get("sizes", [])], payload)
-            except StoreError:
-                if self.strict:
-                    raise
-                self._record_failure(url)
-                self._degraded(url, "get")
-                self.misses += len(shard_keys)
-                continue
-            self._record_success(url)
             for key, artifact in items:
                 self.remote_hits += 1
                 self.hits += 1
@@ -532,11 +514,6 @@ class ShardedStoreClient:
             self.misses += absent
         return found
 
-    def prefetch(self, keys) -> int:
-        """Warm the local tier for a session attach; returns the number
-        of keys now locally available."""
-        return len(self.multi_get(keys))
-
     def multi_put(self, items: Dict[str, Any]) -> None:
         """Write many artefacts: local write-through, then one
         ``multi_put`` frame per owning shard; a failing shard owes all
@@ -546,28 +523,12 @@ class ShardedStoreClient:
             self.fallback.put(key, artifact)
             by_shard.setdefault(self.shard_for(key), []).append(key)
         for url, shard_keys in by_shard.items():
-            if self.breaker.is_open(url):
-                self._degraded(url, "put")
-                for key in shard_keys:
-                    self._owe(url, key)
-                continue
-            try:
-                keys, sizes, payload = pack_artifacts(
-                    (key, items[key]) for key in shard_keys)
-                self.shards[url].request(
-                    "multi_put", extra={"keys": keys, "sizes": sizes},
-                    payload=payload)
-            except StoreError:
-                if self.strict:
-                    raise
-                self._record_failure(url)
-                self._degraded(url, "put")
-                for key in shard_keys:
-                    self._owe(url, key)
-                continue
-            self._record_success(url)
+            batch = [(key, items[key]) for key in shard_keys]
+            if self._guarded(url, "put", self._remote_multi_put, url,
+                             batch) is _DEGRADED:
+                self._owe(url, *shard_keys)
 
-    # -- remote reads (with hedging) -----------------------------------------
+    # -- shard requests (reads hedged) ---------------------------------------
 
     def _remote_get(self, url: str, key: str):
         start = time.perf_counter()
@@ -585,6 +546,24 @@ class ShardedStoreClient:
             return None
         _kind, artifact = decode_artifact(payload, expect_key=key)
         return artifact
+
+    def _remote_multi_get(self, url: str, keys: List[str]):
+        response, payload = self.shards[url].request(
+            "multi_get", extra={"keys": keys})
+        return unpack_artifacts(
+            list(response.get("found", [])),
+            [int(s) for s in response.get("sizes", [])], payload)
+
+    def _remote_put(self, url: str, key: str, artifact) -> None:
+        self.shards[url].request("put", key, encode_artifact(key, artifact))
+
+    def _remote_multi_put(self, url: str,
+                          items: List[Tuple[str, Any]]) -> None:
+        """One ``multi_put`` frame of ``(key, artifact)`` pairs."""
+        keys, sizes, payload = pack_artifacts(items)
+        self.shards[url].request(
+            "multi_put", extra={"keys": keys, "sizes": sizes},
+            payload=payload)
 
     def _hedge_threshold(self) -> Optional[float]:
         """Seconds after which a read is a straggler, or None."""
@@ -674,11 +653,7 @@ class ShardedStoreClient:
                 if not items:
                     continue
                 try:
-                    keys, sizes, payload = pack_artifacts(items)
-                    self.shards[url].request(
-                        "multi_put",
-                        extra={"keys": keys, "sizes": sizes},
-                        payload=payload)
+                    self._remote_multi_put(url, items)
                     pushed += len(items)
                 except StoreError:
                     self._record_failure(url)

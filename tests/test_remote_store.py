@@ -432,6 +432,33 @@ class TestDegradedMode:
         assert f"shard:reconciled:{urls[0]}" in names
         client.close()
 
+    def test_second_outage_below_threshold_traced_again(self, fleet):
+        """A shard that fails, answers, then fails again (never reaching
+        ``breaker_threshold``) had two outages: each gets its own
+        'degraded' instant, and neither a 'healed' one."""
+        urls = [server.url for server in fleet]
+        tracer = Tracer()
+        client = fast_client(urls, retries=1, tracer=tracer)
+        victims = [k for k in KEYS if client.shard_for(k) == urls[0]]
+        host, port = fleet[0].address
+        fleet[0].stop()
+        assert client.get(victims[0]) is None      # outage 1
+        revived = StoreServer(ArtifactStore(cache_dir=None),
+                              host=host, port=port).start()
+        try:
+            assert client.get(victims[1]) is None  # answered: a miss
+        finally:
+            revived.stop()
+        assert client.get(victims[2]) is None      # outage 2
+        stats = client.stats()
+        assert stats["degraded_gets"] == 2
+        assert stats["remote_misses"] == 1
+        assert stats["breaker_trips"] == 0
+        names = [e.name for e in tracer.events]
+        assert names.count(f"shard:degraded:{urls[0]}") == 2
+        assert f"shard:healed:{urls[0]}" not in names
+        client.close()
+
     def test_put_landing_mid_reconcile_is_not_dropped(self, fleet,
                                                       tmp_path):
         """A degraded put racing a reconcile pass must survive to the
@@ -498,6 +525,32 @@ class TestDegradedMode:
         assert f"shard:reconciled:{urls[1]}" not in names
         client.close()
 
+    def test_multi_put_owes_dead_shards_batch_until_reconcile(
+            self, fleet, tmp_path):
+        urls = [server.url for server in fleet]
+        client = fast_client(
+            urls, retries=1,
+            fallback=ArtifactStore(cache_dir=tmp_path / "local"))
+        victims = [k for k in KEYS[:40] if client.shard_for(k) == urls[1]]
+        assert len(victims) >= 4
+        host, port = fleet[1].address
+        fleet[1].stop()
+        client.multi_put({key: art(i) for i, key in enumerate(KEYS[:40])})
+        stats = client.stats()
+        assert stats["degraded_puts"] == 1         # one frame, one shard
+        assert stats["pending"] == {urls[1]: len(victims)}
+        with client._pending_lock:
+            assert client.pending[urls[1]] == victims
+        healed = StoreServer(ArtifactStore(cache_dir=tmp_path / "h"),
+                             host=host, port=port).start()
+        try:
+            assert client.reconcile() == len(victims)
+            assert client.stats()["pending"] == {}
+            assert set(victims) == set(healed.store.keys())
+        finally:
+            healed.stop()
+        client.close()
+
     def test_background_reconciler_drains(self, fleet, tmp_path):
         urls = [server.url for server in fleet]
         clock = [0.0]
@@ -522,6 +575,55 @@ class TestDegradedMode:
         finally:
             healed.stop()
             client.close()
+
+
+# --------------------------------------------------------------------------
+# mutable keys and shard health
+# --------------------------------------------------------------------------
+
+
+class TestFreshGetAndHealth:
+    def test_fresh_get_sees_peer_republish(self, fleet):
+        """The hot tier must not shadow a mutable key a *different*
+        client republished — the bug class fresh_get exists for."""
+        urls = [server.url for server in fleet]
+        a, b = fast_client(urls), fast_client(urls)
+        try:
+            a.put("session-meta:dev", {"epoch": 1})
+            b.put("session-meta:dev", {"epoch": 2})
+            # Plain get serves a's stale hot-tier copy...
+            assert a.get("session-meta:dev") == {"epoch": 1}
+            # ...fresh_get asks the owning shard and banks the answer.
+            assert a.fresh_get("session-meta:dev") == {"epoch": 2}
+            assert a.get("session-meta:dev") == {"epoch": 2}
+        finally:
+            a.close()
+            b.close()
+
+    def test_fresh_get_falls_back_to_local_copy(self, fleet):
+        urls = [server.url for server in fleet]
+        client = fast_client(urls, retries=1)
+        key = "session-meta:dev"
+        client.put(key, {"epoch": 1})
+        owner = next(s for s in fleet if s.url == client.shard_for(key))
+        owner.stop()
+        assert client.fresh_get(key) == {"epoch": 1}
+        assert client.stats()["degraded_gets"] == 1
+        client.close()
+
+    def test_ping_all_reports_per_shard_health(self, fleet):
+        urls = [server.url for server in fleet]
+        client = fast_client(urls)
+        health = client.ping_all()
+        assert health == {url: True for url in urls}
+        fleet[1].stop()
+        attempts = client.shards[urls[1]].attempts
+        health = client.ping_all()
+        assert health[urls[1]] is False
+        assert sum(1 for up in health.values() if up) == 2
+        # One probe per shard: the client's retry budget does not apply.
+        assert client.shards[urls[1]].attempts == attempts + 1
+        client.close()
 
 
 # --------------------------------------------------------------------------
@@ -767,19 +869,6 @@ class TestBatchedFrames:
         again = reader.multi_get(KEYS[:16])
         assert len(again) == 16
         assert reader.stats()["local_hits"] >= 16
-        reader.close()
-
-    def test_prefetch_warms_local_tier(self, fleet):
-        urls = [server.url for server in fleet]
-        writer = fast_client(urls)
-        writer.multi_put({KEYS[i]: art(i) for i in range(8)})
-        writer.close()
-
-        reader = fast_client(urls)
-        assert reader.prefetch(KEYS[:8]) == 8
-        for server in fleet:
-            server.stop()                  # fleet gone; local tier holds
-        assert reader.get(KEYS[3]) == art(3)
         reader.close()
 
     def test_multi_get_degrades_when_fleet_down(self, fleet):

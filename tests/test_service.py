@@ -136,6 +136,22 @@ class TestCrossTenantDedup:
             assert stats["dedup_ratio"] > 0.0
             assert stats["store"]["hits"] > 0
 
+    def test_oneshot_seed_reaches_the_flow(self, tmp_path):
+        """The seed is a placement input: a one-shot request with a new
+        seed must not be served the other seed's implementation."""
+        with CompileService(ServiceConfig(
+                cache_dir=str(tmp_path), shared=True)) as service:
+            first = service.compile(
+                CompileRequest(app=APP, effort=EFFORT, seed=1),
+                timeout=120)
+            second = service.compile(
+                CompileRequest(app=APP, effort=EFFORT, seed=2),
+                timeout=120)
+        assert second.dedup["impl_steps"] > 0
+        assert second.dedup["impl_hits"] == 0
+        assert manifest_bytes(second.build) \
+            != manifest_bytes(first.build)
+
     def test_edit_only_dirties_one_operator(self, tmp_path):
         with CompileService(ServiceConfig(
                 cache_dir=str(tmp_path), shared=True)) as service:

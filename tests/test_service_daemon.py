@@ -479,14 +479,14 @@ class TestFleetDaemon:
 
     def test_graceful_stop_reconciles_and_closes_store(self, tmp_path,
                                                        fleet):
-        """Satellite coverage: ``shutdown`` with a quarantined shard —
-        the daemon's close path drains the write-behind debt once the
-        shard heals, and the service close closes the sync client."""
+        """``shutdown`` with a quarantined shard: the daemon leaves the
+        store client to its owner, and the service's close drains the
+        write-behind debt once the shard heals, then closes it."""
         urls = [s.url for s in fleet]
         service = _fleet_service(tmp_path, urls)
         store = service.store
         store.breaker.cooldown_seconds = 0.2
-        # Background reconciler off: the *shutdown* path must drain.
+        # Background reconciler off: the *close* path must drain.
         holder = _start_daemon(service, reconcile_interval=0.0)
         victim = fleet[0]
         victim_url = victim.url
@@ -508,15 +508,16 @@ class TestFleetDaemon:
             client.close()
             holder["thread"].join(timeout=30)
             assert not holder["thread"].is_alive()
-            # The daemon's close-path reconcile settled the debt...
-            assert holder["daemon"].reconciled >= len(owed)
-            with store._pending_lock:
-                assert not store.pending.get(victim_url)
-            assert set(owed) <= set(revived.store.keys())
-            # ...and left the sync client to its owner, the service.
+            # The daemon left the store client to its owner, the
+            # service...
             assert not store._closed
             service.close()
             assert store._closed
+            # ...whose close-path reconcile settled the debt.
+            assert store.reconciled >= len(owed)
+            with store._pending_lock:
+                assert not store.pending.get(victim_url)
+            assert set(owed) <= set(revived.store.keys())
         finally:
             if revived is not None:
                 revived.stop()
