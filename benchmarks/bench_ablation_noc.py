@@ -2,7 +2,7 @@
 
 The paper notes the modest single-up-link BFT trades performance for
 mapping speed, and that wider networks would shift the -O1 points.
-Two experiments:
+Three experiments:
 
 * **width sweep** (analytic): re-evaluate every app's -O1 bottleneck
   with fatter trees (more up-links per switch); apps bottlenecked on
@@ -11,11 +11,18 @@ Two experiments:
 * **deflection cost** (measured): cycle-accurate netsim latency of the
   deflection-routed BFT under contention versus the contention-free
   hop count.
+* **router crossover** (wall-clock): the simulator's per-packet loop
+  and its numpy router drain the same all-to-all load on either side
+  of ``VECTOR_MIN_LEAVES``; the timings are the evidence for that
+  threshold (EXPERIMENTS.md), and the drains must agree exactly.
 """
 
+import random
+
+import pytest
 
 from repro.hls import schedule_operator
-from repro.noc import BFTopology, LeafInterface, NetworkSimulator
+from repro.noc import BFTopology, LeafInterface, NetworkSimulator, netsim
 from repro.noc.linking import build_link_configuration
 from repro.noc.perfmodel import NoCPerformanceModel
 from conftest import APP_ORDER, write_result
@@ -90,3 +97,40 @@ def test_noc_deflection_cost(benchmark):
     # Deflection costs latency but stays within a small multiple.
     assert measured >= ideal * 0.9
     assert measured < ideal * 6
+
+
+def drain_network(n_leaves):
+    """A fresh BFT with an all-to-all load queued: each of the 4 ports
+    of each leaf is bound to a random leaf (seed 7), and each leaf
+    sends 60 flits round-robin over its ports."""
+    rng = random.Random(7)
+    leaves = {i: LeafInterface(i, n_ports=4) for i in range(n_leaves)}
+    sim = NetworkSimulator(BFTopology(n_leaves), leaves)
+    for i in range(n_leaves):
+        for p in range(4):
+            leaves[i].bind(p, rng.randrange(n_leaves), p)
+    for i in range(n_leaves):
+        for k in range(60):
+            leaves[i].send(k % 4, (i * 1000 + k) & 0xFFFFFFFF)
+    return sim
+
+
+def drain(sim):
+    cycles = sim.run(max_cycles=2_000_000)
+    return cycles, len(sim.delivered), sim.total_deflections
+
+
+@pytest.mark.parametrize("router", ["loop", "numpy"])
+@pytest.mark.parametrize("n_leaves,expected", [
+    (64, (1277, 3840, 107416)), (128, (2583, 7680, 464410))],
+    ids=["64", "128"])
+def test_noc_router_crossover(benchmark, monkeypatch, n_leaves, expected,
+                              router):
+    # The simulator picks its router when it is built: move the
+    # threshold so every network takes the one under test.
+    monkeypatch.setattr(netsim, "VECTOR_MIN_LEAVES",
+                        1 if router == "numpy" else 1 << 30)
+    result = benchmark.pedantic(
+        drain, setup=lambda: ((drain_network(n_leaves),), {}), rounds=5)
+    # (cycles, delivered, deflections): the same on both routers.
+    assert result == expected

@@ -492,16 +492,6 @@ def cmd_trace(args) -> int:
     return 0
 
 
-def cmd_bench_args(bench_args: list) -> int:
-    """Run the tracked benchmark suite (repro.perf.bench)."""
-    from repro.perf.bench import main as bench_main
-    return bench_main(bench_args)
-
-
-def cmd_bench(args) -> int:
-    return cmd_bench_args(args.bench_args)
-
-
 def cmd_floorplan(_args) -> int:
     from repro.fabric import FLOORPLAN, XCU50
     print(f"device: {XCU50.name}  {XCU50.luts:,} LUTs  "
@@ -804,23 +794,10 @@ def build_parser() -> argparse.ArgumentParser:
         "trace", help="render a saved --trace file as a text tree")
     trace_p.add_argument("file", help="Chrome trace-event JSON written "
                                       "by a --trace run")
-
-    bench_p = sub.add_parser(
-        "bench", help="run the tracked benchmark suite "
-        "(see 'bench --help' via repro.perf.bench)")
-    bench_p.add_argument("bench_args", nargs=argparse.REMAINDER,
-                         help="arguments forwarded to repro.perf.bench "
-                              "(--quick, --suite, --profile, --check, "
-                              "--output, --repeats)")
     return parser
 
 
 def main(argv: Optional[list] = None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if argv and argv[0] == "bench":
-        # Forward everything after 'bench' verbatim (argparse REMAINDER
-        # refuses leading optionals like --quick).
-        return cmd_bench_args(argv[1:])
     args = build_parser().parse_args(argv)
     handler = {
         "apps": cmd_apps,
@@ -835,7 +812,6 @@ def main(argv: Optional[list] = None) -> int:
         "health": cmd_health,
         "status": cmd_status,
         "result": cmd_result,
-        "bench": cmd_bench,
         "trace": cmd_trace,
         "fsck": cmd_fsck,
         "store": cmd_store,

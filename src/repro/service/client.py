@@ -1,9 +1,9 @@
 """Synchronous client for the ``pld serve`` daemon.
 
 The CLI verbs ``pld submit``/``pld status``/``pld result`` (and the
-``serve_loadgen`` benchmark's simulated tenants) talk to the daemon
-through this class.  One :class:`ServiceClient` holds one TCP
-connection and issues request/response frames in
+repo benchmark's serve workloads) talk to the daemon through this
+class.  One :class:`ServiceClient` holds one TCP connection and
+issues request/response frames in
 :mod:`repro.store.remote.framing`'s wire format; a server answer with
 ``ok: false`` re-raises as :class:`~repro.errors.ServiceError`
 carrying the server-reported ``kind``, so callers can tell a deadline

@@ -2,11 +2,11 @@
 
 One :class:`Tracer` threads through the whole edit-compile-run loop —
 build steps, cluster jobs, flow phases, worker processes, incremental
-sessions, the NoC watchdog, card configuration and the bench harness —
-and exports the result as Chrome trace-event JSON (``pld ... --trace
-FILE``, loadable in ``chrome://tracing`` / Perfetto) or a compact text
-tree (``pld trace FILE``).  See :mod:`repro.trace.tracer` for the span
-model and :mod:`repro.trace.export` for the formats.
+sessions, the NoC watchdog and card configuration — and exports the
+result as Chrome trace-event JSON (``pld ... --trace FILE``, loadable
+in ``chrome://tracing`` / Perfetto) or a compact text tree (``pld
+trace FILE``).  See :mod:`repro.trace.tracer` for the span model and
+:mod:`repro.trace.export` for the formats.
 """
 
 from repro.trace.tracer import (

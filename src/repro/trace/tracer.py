@@ -6,7 +6,7 @@ A :class:`Tracer` records what the toolflow did as nested *spans*
 two clocks:
 
 * the **wall** clock — real ``time.perf_counter()`` seconds this
-  process actually spent (build steps, worker waits, bench suites);
+  process actually spent (build steps, worker waits);
 * the **modeled** clock — the Vivado-scale seconds the compile-time
   model charges (cluster jobs, hls/syn/pnr/bit phases, configuration
   and DMA timings), which is what Tab. 2 reports.

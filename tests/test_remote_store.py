@@ -3,7 +3,8 @@
 Framing, routing, the server/client protocol, and every robustness
 layer in isolation: retry budgets with backoff, transport fault
 injection, breaker quarantine with half-open probes, degraded-mode
-fallback with write-behind reconciliation, and hedged reads.
+fallback with write-behind reconciliation, and hedged reads.  Plus
+concurrent writers whose overlapping puts a cold reader must find.
 """
 
 import socket
@@ -624,6 +625,44 @@ class TestFreshGetAndHealth:
         # One probe per shard: the client's retry budget does not apply.
         assert client.shards[urls[1]].attempts == attempts + 1
         client.close()
+
+
+# --------------------------------------------------------------------------
+# concurrent writers
+# --------------------------------------------------------------------------
+
+
+class TestConcurrentWriters:
+    def test_overlapping_writers_dedup_for_a_cold_reader(self, fleet):
+        """Eight clients write at once, half of each one's keys shared
+        with every other writer; a client with a cold local tier then
+        finds every unique key on the shards."""
+        from concurrent.futures import ThreadPoolExecutor
+
+        urls = [server.url for server in fleet]
+        writers, per_writer, shared = 8, 10, 5
+
+        def write(writer):
+            client = ShardedStoreClient(urls)
+            for i in range(per_writer):
+                # KEYS[:5] are shared; writer w owns KEYS[5w+5:5w+10].
+                index = i if i < shared else shared * writer + i
+                client.put(KEYS[index], art(index))
+            stats = client.stats()
+            client.close()
+            return stats
+
+        with ThreadPoolExecutor(max_workers=writers) as pool:
+            for stats in pool.map(write, range(writers), timeout=60):
+                assert stats["degraded_puts"] == 0
+                assert stats["pending"] == {}
+
+        unique = shared + writers * (per_writer - shared)
+        reader = ShardedStoreClient(urls)
+        assert [reader.get(KEYS[i]) for i in range(unique)] == \
+            [art(i) for i in range(unique)]
+        assert reader.stats()["remote_hits"] == unique == 45
+        reader.close()
 
 
 # --------------------------------------------------------------------------

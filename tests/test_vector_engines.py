@@ -9,7 +9,7 @@ state, under any seed.  These tests sweep that contract with
 hypothesis (moving the NoC threshold, or swapping the ISS block
 stepper for :meth:`PicoRV32.step`, so the same fixture runs both
 ways) and pin the scaled multi-SLR fabrics (U280, VU19P) with content
-digests.
+digests and an -O1 compile-and-run of digit-recognition on each.
 """
 
 from __future__ import annotations
@@ -266,6 +266,17 @@ class TestISSEngineEquivalence:
 # --------------------------------------------------------------------------
 
 
+@pytest.fixture(scope="module")
+def u50_digit_run():
+    """digit-recognition and its -O1 outputs on the default U50 overlay."""
+    from repro.core import BuildEngine, O1Flow
+    from repro.rosetta import get_app
+
+    app = get_app("digit-recognition")
+    build = O1Flow(effort=0.1).compile(app.project, BuildEngine())
+    return app, build.execute(app.project.sample_inputs)
+
+
 class TestScaledFabrics:
     def test_u280_floorplan_pinned(self):
         overlay = Overlay.for_device(XCU280)
@@ -321,6 +332,22 @@ class TestScaledFabrics:
     def test_scaled_floorplan_rejects_tiny_page_count(self):
         with pytest.raises(FabricError):
             scaled_floorplan(XCU280, 1)
+
+    @pytest.mark.parametrize("device,makespan", [
+        (XCU280, 466.73290199690257), (XCVU19P, 469.6128522551573)],
+        ids=["XCU280", "XCVU19P"])
+    def test_o1_compiles_and_runs_on_scaled_overlay(self, u50_digit_run,
+                                                    device, makespan):
+        # -O1 end to end on the multi-SLR fabrics: the design computes
+        # what the default U50 build computes, and the modeled Tab. 2
+        # makespan is pinned.
+        from repro.core import BuildEngine, O1Flow
+
+        app, u50_outputs = u50_digit_run
+        build = O1Flow(overlay=Overlay.for_device(device),
+                       effort=0.1).compile(app.project, BuildEngine())
+        assert build.execute(app.project.sample_inputs) == u50_outputs
+        assert build.compile_times.total == pytest.approx(makespan)
 
 
 class TestMultiSLRTopology:
