@@ -45,18 +45,6 @@ from repro.platform import HostProgram
 DEFAULT_SERVER = "127.0.0.1:7411"
 
 
-def _flow(name: str, effort: float):
-    # Look the class up first, construct outside the handler: a
-    # KeyError raised inside a flow's __init__ is a real bug and must
-    # propagate, not be misreported as "unknown flow".
-    try:
-        cls = FLOWS[name]
-    except KeyError:
-        raise SystemExit(f"unknown flow {name!r}; choose from "
-                         f"{sorted(FLOWS)}")
-    return cls(effort=effort)
-
-
 def _app(name: str):
     from repro.rosetta import get_app
     return get_app(name)
@@ -314,9 +302,8 @@ def cmd_tables(args) -> int:
             }
     finally:
         engine.close()
-        journal = getattr(engine, "journal", None)
-        if journal is not None:
-            journal.close()
+        if engine.journal is not None:
+            engine.journal.close()
         service.close()
     print("== compile time (Tab. 2) ==")
     print(format_compile_table(builds))

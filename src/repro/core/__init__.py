@@ -6,7 +6,8 @@ Everything above the substrates lives here:
   directives of Fig. 2(a);
 * :mod:`repro.core.dfg` — the dfg extractor producing ``dfg.ir``;
 * :mod:`repro.core.build` — the Makefile-equivalent incremental build
-  engine (content hashing; only changed operators recompile);
+  engine (content hashing; only changed operators recompile; with
+  ``workers > 1`` independent steps run on worker processes);
 * :mod:`repro.core.cluster` — the Slurm compile-cluster model that
   turns per-operator stage times into parallel makespans;
 * :mod:`repro.core.project` — a PLD project (graph + workloads);
@@ -21,7 +22,6 @@ from repro.core.pragma import OperatorPragma, parse_pragmas
 from repro.core.dfg import extract_dfg, dfg_to_text
 from repro.core.build import BatchStep, BuildCache, BuildEngine
 from repro.core.cluster import CompileCluster, Job
-from repro.core.parallel import ParallelBuildEngine
 from repro.core.project import Project
 from repro.core.flows import (
     FlowBuild,
@@ -50,7 +50,6 @@ __all__ = [
     "BatchStep",
     "BuildCache",
     "BuildEngine",
-    "ParallelBuildEngine",
     "CompileCluster",
     "Job",
     "Project",

@@ -6,6 +6,10 @@ node keyed by a hash of its inputs (operator IR, target, page type,
 tool options).  Unchanged keys hit the :class:`BuildCache`; changed
 keys rebuild and record what work was done — tests assert the paper's
 claim that a one-operator edit recompiles exactly one page.
+
+``BuildEngine(workers=N)`` runs independent steps side by side on a
+process pool, as the paper's cluster does (Sec. 6); keys, records and
+artefacts stay those of the serial loop.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ import json
 import pickle
 import time
 from collections import OrderedDict
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
@@ -166,8 +172,8 @@ class BatchStep:
 
     Unlike the closure passed to :meth:`BuildEngine.step`, the work is
     described as ``fn(*args, **kwargs)`` with a module-level ``fn`` so a
-    process-parallel engine can ship it to a worker (everything must
-    pickle); the base engine simply calls it in-process.
+    pooled engine can ship it to a worker process (everything must
+    pickle); a serial engine simply calls :meth:`run` in-process.
     """
 
     name: str
@@ -175,6 +181,9 @@ class BatchStep:
     fn: Callable[..., Any]
     args: Tuple = ()
     kwargs: Dict[str, Any] = field(default_factory=dict)
+
+    def run(self):
+        return self.fn(*self.args, **self.kwargs)
 
 
 class BuildEngine:
@@ -184,19 +193,19 @@ class BuildEngine:
     when the content key misses.  The engine records which names were
     rebuilt vs. reused so flows can report incremental behaviour.
 
-    ``cache`` is anything with the ``get(key)/put(key, artefact)``
-    contract: the in-memory :class:`BuildCache` (default) or a
-    persistent :class:`repro.store.ArtifactStore`, which makes cache
-    hits survive across processes.
+    ``cache`` is anything with the ``get(key)/put(key, artefact)/
+    stats()`` contract: the in-memory :class:`BuildCache` (default) or
+    a persistent :class:`repro.store.ArtifactStore`, which makes cache
+    hits survive across processes.  Lookups and inserts happen in this
+    process only, so a store's files are never written concurrently.
 
     ``tracer`` is an optional :class:`repro.trace.Tracer`: every step
     then becomes a wall-clock span (cache hits become instants) on the
     ``build`` lane, and the flows pick the tracer up from the engine to
     trace their own phases and cluster schedules.
 
-    The remaining arguments form the supervision layer
-    (:mod:`repro.resilience`); all default to None, and the disabled
-    path is a strict no-op:
+    The supervision layer (:mod:`repro.resilience`) defaults to None,
+    and the disabled path is a strict no-op:
 
     * ``journal`` — a :class:`~repro.resilience.BuildJournal`; every
       cache-miss step is journaled begin/end (fail on a raising
@@ -211,15 +220,24 @@ class BuildEngine:
       :class:`~repro.errors.CircuitOpenError` instead of rerunning.
     * ``crash_plan`` — a :class:`repro.faults.CrashPlan`; the
       crash-injection harness for the resume tests.
+
+    ``owns_cache`` says whether :meth:`close` may close the cache: a
+    service sharing one store across many engines passes False.
+
+    ``workers`` > 1 runs the cache misses of a :meth:`step_batch` on
+    worker processes: a borrowed ``pool`` (the compile service lends
+    one to all its engines) is never shut down here, otherwise the
+    engine creates its own on the first batch with misses.  A crashed
+    or poisoned worker is not fatal: the step is retried in-process
+    (``worker_retries`` counts these), so a deterministic builder error
+    surfaces with a clean parent traceback instead of a hang.
     """
 
     def __init__(self, cache=None, tracer=None, journal=None,
                  deadline=None, breaker=None, crash_plan=None,
-                 owns_cache: bool = True):
+                 owns_cache: bool = True, workers: int = 1,
+                 pool: Optional[ProcessPoolExecutor] = None):
         self.cache = cache if cache is not None else BuildCache()
-        #: Whether close() may close the cache.  A service sharing one
-        #: store across many per-request engines passes False so a
-        #: request ending never tears down the shared store.
         self.owns_cache = owns_cache
         self.record = BuildRecord()
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -227,11 +245,18 @@ class BuildEngine:
         self.deadline = deadline
         self.breaker = breaker
         self.crash_plan = crash_plan
+        self.workers = workers
+        #: Steps that failed on a worker and were re-run in-process.
+        self.worker_retries = 0
+        self._pool = pool
+        self._owns_pool = pool is None
         self._closed = False
 
+    # -- one step: hit bookkeeping and the miss pipeline --------------------
+
     def _hit(self, name: str, key: str, artefact):
-        """Bookkeeping for one cache hit (shared with the parallel
-        engine): record reuse, resume-skip accounting, trace instant."""
+        """Bookkeeping for one cache hit: record reuse, resume-skip
+        accounting, trace instant."""
         self.record.reused.append(name)
         if self.journal is not None and self.journal.can_skip(name, key):
             self.record.resumed.append(name)
@@ -243,8 +268,9 @@ class BuildEngine:
                                 cache="hit", key=key)
         return artefact
 
-    def _check_supervision(self, name: str, key: str) -> None:
-        """Deadline and breaker gates before a builder may run."""
+    def _begin(self, name: str, key: str) -> None:
+        """Before a builder may run: the deadline and breaker gates,
+        the ``begin`` crash point and the journal's begin record."""
         if self.deadline is not None:
             self.deadline.check(
                 name,
@@ -259,31 +285,22 @@ class BuildEngine:
                                     key=key,
                                     failures=self.breaker.failures(name))
                 raise
-
-    def step(self, name: str, key_parts: Tuple, builder: Callable[[], Any]):
-        key = content_key(name, *key_parts)
-        self.record.keys[name] = key
-        artefact = self.cache.get(key)
-        if artefact is not None:
-            return self._hit(name, key, artefact)
-        self._check_supervision(name, key)
         if self.crash_plan is not None:
             self.crash_plan.maybe_crash("begin", name)
         if self.journal is not None:
             self.journal.begin_step(name, key)
-        try:
-            with self.tracer.span(name, category="build", lane="build",
-                                  cache="miss", key=key):
-                start = time.perf_counter()
-                artefact = builder()
-                self.record.build_seconds[name] = \
-                    time.perf_counter() - start
-        except Exception as exc:
-            if self.breaker is not None:
-                self.breaker.record_failure(name)
-            if self.journal is not None:
-                self.journal.fail_step(name, key, error=repr(exc))
-            raise
+
+    def _failed(self, name: str, key: str, exc: BaseException) -> None:
+        """A builder raised: count it against the breaker, journal it."""
+        if self.breaker is not None:
+            self.breaker.record_failure(name)
+        if self.journal is not None:
+            self.journal.fail_step(name, key, error=repr(exc))
+
+    def _built(self, name: str, key: str, artefact):
+        """A builder returned: bank the artefact, then journal the end
+        (the ``mid``/``end`` crash points fall either side of the
+        put)."""
         if artefact is None:
             raise BuildError(f"builder for {name!r} returned None")
         if self.crash_plan is not None:
@@ -298,35 +315,145 @@ class BuildEngine:
         self.record.built.append(name)
         return artefact
 
+    def step(self, name: str, key_parts: Tuple, builder: Callable[[], Any]):
+        key = content_key(name, *key_parts)
+        self.record.keys[name] = key
+        artefact = self.cache.get(key)
+        if artefact is not None:
+            return self._hit(name, key, artefact)
+        self._begin(name, key)
+        try:
+            with self.tracer.span(name, category="build", lane="build",
+                                  cache="miss", key=key):
+                start = time.perf_counter()
+                artefact = builder()
+                self.record.build_seconds[name] = \
+                    time.perf_counter() - start
+        except Exception as exc:
+            self._failed(name, key, exc)
+            raise
+        return self._built(name, key, artefact)
+
+    # -- batches -------------------------------------------------------------
+
     def step_batch(self, steps: Iterable[Union[BatchStep, Tuple]]
                    ) -> List[Any]:
         """Run independent build steps; return their artefacts in order.
 
         Steps must not depend on one another's artefacts — flows batch
         one dependency layer at a time (all front-end steps, then all
-        page-implementation steps).  The base engine runs them serially
-        in list order, so records and cache traffic are identical to a
-        loop of :meth:`step` calls; :class:`repro.core.parallel.
-        ParallelBuildEngine` overrides this to fan misses out to worker
-        processes.
+        page-implementation steps), which is why no scheduler is needed.
+        A serial engine (or a one-step batch) runs them as a loop of
+        :meth:`step` calls in list order; with ``workers > 1`` the cache
+        misses go to worker processes, with the same keys, records and
+        cache traffic.
         """
-        out: List[Any] = []
-        for s in steps:
-            if not isinstance(s, BatchStep):
-                s = BatchStep(*s)
-            out.append(self.step(
-                s.name, s.key_parts,
-                lambda s=s: s.fn(*s.args, **s.kwargs)))
-        return out
+        steps = [s if isinstance(s, BatchStep) else BatchStep(*s)
+                 for s in steps]
+        if self.workers <= 1 or len(steps) <= 1:
+            return [self.step(s.name, s.key_parts, s.run) for s in steps]
+
+        results: List[Any] = [None] * len(steps)
+        misses: List[Tuple[int, BatchStep, str]] = []
+        followers: List[Tuple[int, BatchStep, str]] = []
+        pending = set()
+        for pos, s in enumerate(steps):
+            key = content_key(s.name, *s.key_parts)
+            self.record.keys[s.name] = key
+            if key in pending:
+                # A duplicate key inside one batch: the serial loop
+                # would hit the cache once the first build lands, so
+                # resolve it after the gather instead of building twice.
+                followers.append((pos, s, key))
+                continue
+            artefact = self.cache.get(key)
+            if artefact is not None:
+                results[pos] = self._hit(s.name, key, artefact)
+            else:
+                pending.add(key)
+                misses.append((pos, s, key))
+
+        if misses:
+            self._gather(misses, results)
+        for pos, s, key in followers:
+            artefact = self.cache.get(key)
+            if artefact is None:           # evicted between put and get
+                artefact = s.run()
+                self.cache.put(key, artefact)
+                self.record.built.append(s.name)
+            else:
+                self.record.reused.append(s.name)
+            results[pos] = artefact
+        return results
+
+    def _gather(self, misses, results) -> None:
+        # Supervision gates fire before any work ships: an expired
+        # deadline or an open breaker fails the batch with no futures
+        # in flight, and the journal records every step about to build.
+        for _pos, s, key in misses:
+            self._begin(s.name, key)
+        futures = None
+        try:
+            pool = self._ensure_pool()
+            futures = [pool.submit(s.fn, *s.args, **s.kwargs)
+                       for _pos, s, _key in misses]
+        except Exception:
+            # Submission itself failed (dead pool): everything falls
+            # back to in-process execution below.
+            self._drop_pool()
+        for i, (pos, s, key) in enumerate(misses):
+            artefact = None
+            retried = False
+            trace_t0 = self.tracer.now() if self.tracer.enabled else 0.0
+            start = time.perf_counter()
+            if futures is not None:
+                try:
+                    artefact = futures[i].result()
+                except BrokenProcessPool:
+                    # The pool is poisoned; every remaining future fails
+                    # instantly, and each step retries in-process.
+                    self.worker_retries += 1
+                    retried = True
+                    self._drop_pool()
+                except Exception:
+                    self.worker_retries += 1
+                    retried = True
+            if artefact is None:
+                try:
+                    artefact = s.run()
+                except Exception as exc:
+                    self._failed(s.name, key, exc)
+                    raise
+            elapsed = time.perf_counter() - start
+            self.record.build_seconds[s.name] = elapsed
+            if self.tracer.enabled:
+                # Parent-observed wait on the worker's lane; concurrent
+                # steps overlap, so the lanes read like the pool did.
+                self.tracer.wall_span(
+                    s.name, trace_t0, elapsed, category="build",
+                    lane=f"worker-{i % max(1, self.workers)}",
+                    cache="miss", key=key, worker_retry=retried)
+            results[pos] = self._built(s.name, key, artefact)
+
+    # -- pool and lifecycle --------------------------------------------------
+
+    def _ensure_pool(self) -> ProcessPoolExecutor:
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(max_workers=self.workers)
+            self._owns_pool = True
+        return self._pool
+
+    def _drop_pool(self, wait: bool = False) -> None:
+        """Let go of the pool.  An owned pool is shut down (without
+        waiting when it is poisoned); a borrowed one is left to its
+        owner."""
+        if self._pool is not None and self._owns_pool:
+            self._pool.shutdown(wait=wait, cancel_futures=not wait)
+        self._pool = None
 
     def cache_stats(self) -> Dict[str, int]:
-        """The cache's counters, whatever its implementation."""
-        stats = getattr(self.cache, "stats", None)
-        if callable(stats):
-            return dict(stats())
-        return {"hits": getattr(self.cache, "hits", 0),
-                "misses": getattr(self.cache, "misses", 0),
-                "evictions": getattr(self.cache, "evictions", 0)}
+        """The cache's counters (hits / misses / evictions, plus tiers)."""
+        return dict(self.cache.stats())
 
     def fresh_record(self) -> None:
         """Start a new invocation record (same cache)."""
@@ -335,13 +462,12 @@ class BuildEngine:
     def close(self) -> None:
         """Release engine resources (idempotent).
 
-        The base engine only owns its cache; a cache with a ``close``
-        of its own — the remote :class:`repro.store.remote.
-        ShardedStoreClient` and its socket pools — is shut down here,
-        so every CLI path that closes its engine also closes the
-        store's connections.  A second close is a strict no-op (a
-        long-running service opens and closes engines per request).
+        An owned worker pool is shut down, and so is an owned cache
+        with a ``close`` of its own (the remote :class:`repro.store.
+        remote.ShardedStoreClient` and its socket pools).  A second
+        close is a no-op.
         """
+        self._drop_pool(wait=True)
         if self._closed:
             return
         self._closed = True

@@ -56,7 +56,6 @@ from repro.pnr.compile_model import (
 )
 from repro.softcore.compiler import CompiledOperator, compile_operator
 from repro.softcore.elf import pack_binary
-from repro.trace import NULL_TRACER
 from repro.core.build import BatchStep, BuildEngine
 from repro.core.cluster import CompileCluster, Job
 from repro.core.dfg import extract_dfg
@@ -318,8 +317,8 @@ def _hls_build(spec, clock_mhz: float, name: str, n_ports: int
                ) -> Tuple[Schedule, ResourceEstimate, str, Netlist]:
     """C-to-RTL work: schedule, estimate, Verilog, netlist.
 
-    Module-level (not a closure) so :class:`~repro.core.parallel.
-    ParallelBuildEngine` can ship it to a worker process.
+    Module-level (not a closure) so ``BuildEngine(workers=N)`` can ship
+    it to a worker process.
     """
     schedule = schedule_operator(spec, clock_mhz)
     estimate = estimate_operator(spec)
@@ -419,12 +418,6 @@ def _check_page_fit(page: Page, name: str, op: Operator,
                 f"page {page.number}", resource="brams",
                 need=compiled.memory_bytes // BYTES_PER_BRAM18,
                 have=page.brams)
-
-
-def _engine_tracer(engine: BuildEngine):
-    """The tracer riding on the engine (flows trace through it)."""
-    tracer = getattr(engine, "tracer", None)
-    return tracer if tracer is not None else NULL_TRACER
 
 
 def _trace_flow_phases(tracer, flow_name: str, base: float,
@@ -548,7 +541,7 @@ class O1Flow:
         engine = engine or BuildEngine()
         engine.fresh_record()
         graph = project.graph
-        tracer = _engine_tracer(engine)
+        tracer = engine.tracer
         wall_t0 = tracer.now() if tracer.enabled else 0.0
         flow_base = tracer.modeled_time()
 
@@ -559,9 +552,9 @@ class O1Flow:
         riscv_seconds = 0.0
 
         # Front end per operator.  All front-end steps are mutually
-        # independent, so they go through one step_batch: with the base
-        # engine this is the same serial loop as before, while a
-        # ParallelBuildEngine fans the cache misses out to workers.
+        # independent, so they go through one step_batch: a serial
+        # engine runs them as a loop of steps, while
+        # ``BuildEngine(workers=N)`` fans the cache misses out to workers.
         front_steps: List[BatchStep] = []
         for name, op in graph.operators.items():
             if op.target == TARGET_HW:
@@ -608,7 +601,7 @@ class O1Flow:
         # crashed repeatedly in this engine's lifetime fast-fails here —
         # the operator goes straight to the -O0 softcore degradation
         # path below instead of burning another full page compile.
-        breaker = getattr(engine, "breaker", None)
+        breaker = engine.breaker
         tripped: Dict[str, str] = {}
         if breaker is not None:
             for name, op in graph.operators.items():
@@ -692,7 +685,7 @@ class O1Flow:
                        if f"impl:{job.name}" in built_steps]
         schedule_result, cold_schedule = self.cluster.incremental_schedule(
             jobs, dirty_names, faults=injector, tracer=tracer,
-            deadline=getattr(engine, "deadline", None))
+            deadline=engine.deadline)
         compile_times = schedule_result.stage_maxima
 
         # Graceful degradation (the paper's mixed-flow capability): an
@@ -919,7 +912,7 @@ class O3Flow:
         engine = engine or BuildEngine()
         engine.fresh_record()
         graph = project.graph
-        tracer = _engine_tracer(engine)
+        tracer = engine.tracer
         wall_t0 = tracer.now() if tracer.enabled else 0.0
         flow_base = tracer.modeled_time()
 

@@ -75,8 +75,8 @@ class IncrementalSession:
     Args:
         cache_dir: directory for the persistent artifact store; None
             keeps the session warm only within this process.
-        store: an existing :class:`ArtifactStore` to share (overrides
-            ``cache_dir``).
+        store: an existing store to share (overrides ``cache_dir``).
+            It stays its caller's: :meth:`close` leaves it open.
         flow: the -O1 flow to compile with (default configuration when
             omitted); the session reuses one engine across compiles so
             the flow's record reflects incremental work.
@@ -93,24 +93,18 @@ class IncrementalSession:
             leased session its own journal directory while all sessions
             share one store, so a restart can resume each session
             independently.
-        engine: an existing :class:`BuildEngine` to drive compiles
-            (the service passes a pool-sharing
-            :class:`~repro.core.parallel.ParallelBuildEngine`); the
-            session attaches its journal to it.  Default: a private
-            serial engine.
-        owns_store: whether :meth:`close` may close the store.  None
-            (default) means "owns it unless it was passed in shared" —
-            kept True for a passed-in store too, for backward
-            compatibility with the CLI edit path; the service passes
-            False explicitly.
+        engine: a :class:`BuildEngine` to drive compiles, handed over
+            to the session (the compile service passes one over its
+            store that borrows its worker pool); the session attaches
+            its journal to it and closes it.  Default: a private serial
+            engine over the store.
     """
 
     def __init__(self, cache_dir=None, store=None,
                  flow: Optional[O1Flow] = None, effort: float = 1.0,
                  seed: int = 1, cluster: Optional[CompileCluster] = None,
                  tracer=None, resume: bool = False, deadline=None,
-                 journal_dir=None, engine: Optional[BuildEngine] = None,
-                 owns_store: Optional[bool] = None):
+                 journal_dir=None, engine: Optional[BuildEngine] = None):
         # Imported here, not at module top: repro.store itself imports
         # repro.core.build, and this module is pulled in by the
         # repro.core package init — a top-level import would make
@@ -120,7 +114,6 @@ class IncrementalSession:
 
         self.store = store if store is not None \
             else ArtifactStore(cache_dir=cache_dir)
-        self.owns_store = True if owns_store is None else owns_store
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.journal = None
         store_dir = journal_dir if journal_dir is not None \
@@ -142,7 +135,7 @@ class IncrementalSession:
                                       tracer=self.tracer,
                                       journal=self.journal,
                                       deadline=deadline,
-                                      owns_cache=self.owns_store)
+                                      owns_cache=store is None)
         self.flow = flow if flow is not None \
             else O1Flow(effort=effort, seed=seed, cluster=cluster)
         self.project: Optional[Project] = None
@@ -260,8 +253,9 @@ class IncrementalSession:
         return out
 
     def close(self) -> None:
-        """Release session resources: journal, engine, and — for a
-        remote store — its socket pools (after one last reconcile)."""
+        """Release what the session opened: one last reconcile of a
+        remote store's write-behind queue, then the journal and the
+        engine.  A store passed in stays open for its owner to close."""
         self._reconcile_store()
         if self.journal is not None:
             self.journal.close()

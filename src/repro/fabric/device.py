@@ -87,9 +87,6 @@ class TileGrid:
             counts[self._KIND_MAP[self._kinds[x]]] += self.height
         return counts
 
-    def lut_capacity(self) -> int:
-        return self.capacity()["SLICE"] * SITE_LUTS
-
     @classmethod
     def for_resources(cls, luts: int, brams: int, dsps: int,
                       io_sites: int = 8) -> "TileGrid":

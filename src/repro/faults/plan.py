@@ -274,13 +274,6 @@ class FaultPlan:
         return self.overload_bursts > 0
 
     @property
-    def any_transport_faults(self) -> bool:
-        return bool(self.kill_shards) or self.transport_drop_rate > 0 \
-            or self.transport_delay_rate > 0 \
-            or self.transport_corrupt_rate > 0 \
-            or self.transport_half_close_rate > 0
-
-    @property
     def any_compile_faults(self) -> bool:
         return bool(self.kill_jobs) or self.compile_fail_rate > 0 \
             or self.compile_timeout_rate > 0 or self.node_fail_rate > 0

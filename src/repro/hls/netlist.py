@@ -48,10 +48,6 @@ class Cell:
     name: str
     kind: str            # "SLICE" | "DSP" | "BRAM" | "IO"
 
-    @property
-    def is_logic(self) -> bool:
-        return self.kind == "SLICE"
-
 
 @dataclass
 class Net:

@@ -345,11 +345,6 @@ class LeafInterface:
         """Put a bounced packet at the head of the injection queue."""
         self.outbox.appendleft(packet)
 
-    def reset_stream(self, out_port: int) -> None:
-        """Restart a link's sequence numbering (after re-linking)."""
-        self._check_port(out_port)
-        self._tx_seq[out_port] = 0
-
     def tokens(self, port: int) -> List[int]:
         """Drain and return the tokens delivered to an input port."""
         self._check_port(port)

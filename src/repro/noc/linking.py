@@ -56,14 +56,6 @@ class LinkConfiguration:
     external_in: Dict[str, PortAddress] = field(default_factory=dict)
     external_out: Dict[str, int] = field(default_factory=dict)
 
-    def ports_on_leaf(self, leaf: int) -> int:
-        """How many local ports (max of in/out counts) a leaf needs."""
-        n_out = sum(1 for (op, _p), idx in self.out_ports.items()
-                    if self.leaf_of[op] == leaf)
-        n_in = sum(1 for (op, _p), idx in self.in_ports.items()
-                   if self.leaf_of[op] == leaf)
-        return max(n_out, n_in, 1)
-
     def config_packets(self) -> List[ConfigPacket]:
         """Control packets that install every binding."""
         packets = []

@@ -66,9 +66,6 @@ class Placement:
     stats: PlacerStats
     netlist: PackedNetlist
 
-    def location(self, cell_index: int) -> Site:
-        return self.locations[cell_index]
-
     def hpwl(self) -> float:
         """Total half-perimeter wirelength of all nets."""
         total = 0.0

@@ -40,6 +40,7 @@ from repro.resilience.journal import (
     JOURNAL_NAME,
     completed_steps,
     in_flight_steps,
+    interrupted,
     journal_path,
     load_journal,
     repair_journal,
@@ -60,6 +61,7 @@ __all__ = [
     "fsck_store",
     "stale_tmps",
     "in_flight_steps",
+    "interrupted",
     "journal_path",
     "load_journal",
     "repair_journal",

@@ -1,6 +1,6 @@
 """Per-step circuit breakers for the build engine.
 
-A step whose builder crashes once is retried (the parallel engine's
+A step whose builder crashes once is retried (a pooled engine's
 in-process retry, the cluster's backoff ladder); a step that crashes
 *every time* is deterministic breakage, and burning the full ladder on
 each compile just delays the developer.  :class:`CircuitBreaker` counts

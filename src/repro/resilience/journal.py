@@ -79,6 +79,14 @@ def completed_steps(records: List[Dict[str, object]]) -> Dict[str, str]:
     return done
 
 
+def interrupted(records: List[Dict[str, object]]) -> bool:
+    """True when a build began and never ended: what a killed process
+    leaves behind."""
+    began = sum(1 for r in records if r.get("t") == "build-begin")
+    ended = sum(1 for r in records if r.get("t") == "build-end")
+    return began > ended
+
+
 def in_flight_steps(records: List[Dict[str, object]]) -> Dict[str, str]:
     """Steps with a ``begin`` but no matching ``end``/``fail`` yet."""
     open_steps: Dict[str, str] = {}
@@ -149,9 +157,7 @@ class BuildJournal:
         if resume:
             records, good = load_journal(self.path)
             self.completed = completed_steps(records)
-            began = [r for r in records if r.get("t") == "build-begin"]
-            ended = [r for r in records if r.get("t") == "build-end"]
-            self.interrupted = len(began) > len(ended)
+            self.interrupted = interrupted(records)
             # Drop the torn tail so our appends start on a line boundary.
             try:
                 if good < self.path.stat().st_size:

@@ -102,19 +102,6 @@ def emit_popcount32(b: OperatorBuilder, table: str, word):
     return b.cast(total, 8, signed=False)
 
 
-def fix_to_raw(value: float, frac_bits: int = 16) -> int:
-    """Python float -> raw fixed-point word (for inputs/tests)."""
-    return int(round(value * (1 << frac_bits))) & 0xFFFFFFFF
-
-
-def raw_to_fix(raw: int, frac_bits: int = 16) -> float:
-    """Raw fixed-point word -> Python float."""
-    raw &= 0xFFFFFFFF
-    if raw >> 31:
-        raw -= 1 << 32
-    return raw / (1 << frac_bits)
-
-
 # -- registry -----------------------------------------------------------------
 
 

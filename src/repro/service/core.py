@@ -23,10 +23,9 @@ over the same layer:
   pay once; the second request's steps are store hits, reported as a
   dedup ratio per request and aggregated per tenant.
 * **Shared engine workers** — with ``workers > 1`` the service owns a
-  single process pool that every request's
-  :class:`~repro.core.ParallelBuildEngine` borrows, so concurrent
-  requests multiplex one set of engine workers (what the scheduler's
-  quotas meter).
+  single process pool that every request's and session's
+  ``BuildEngine(workers=N)`` borrows, so concurrent requests multiplex
+  one set of engine workers (what the scheduler's quotas meter).
 """
 
 from __future__ import annotations
@@ -42,12 +41,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import ServiceError, StoreError
-from repro.core import (
-    BuildEngine,
-    IncrementalSession,
-    ParallelBuildEngine,
-    touch_spec,
-)
+from repro.core import BuildEngine, IncrementalSession, touch_spec
 from repro.core.flows import FLOWS
 from repro.service.overload import AdmissionController
 from repro.service.scheduler import RequestScheduler
@@ -160,18 +154,19 @@ class Ticket:
 class ServiceConfig:
     """How a :class:`CompileService` is wired.
 
-    ``shared=False`` (the CLI) reproduces the old per-invocation
-    wiring exactly: each request builds its own cache/journal from
-    ``cache_dir``/``store_urls``, so manifests and printed stats are
-    bit-identical to the pre-service CLI.  ``shared=True`` (the
-    daemon, the load generator) pools one store, one process pool and
-    per-session journals across every request — the multi-tenant mode.
+    Every service has one store (``cache_dir``, fronted by a shard
+    fleet when ``store_urls`` is set) shared by all its requests and
+    sessions, and with ``workers > 1`` one process pool all their
+    engines borrow.  The store root's journal records one build at a
+    time, so a one-shot build journals there — and ``pld compile
+    --resume`` can replay it — only when ``slots`` is 1 (every CLI
+    verb); a multi-slot daemon journals leased sessions only, each in
+    its own directory.
     """
 
     cache_dir: Optional[str] = None
     store_urls: Optional[str] = None
     workers: Optional[int] = None
-    shared: bool = False
     #: Concurrent requests the scheduler may run (the worker pool the
     #: per-tenant quotas meter).  CLI frontends keep the default 1.
     slots: int = 1
@@ -180,7 +175,6 @@ class ServiceConfig:
     tracer: Any = None
     #: Human-facing progress notes (the CLI passes ``print``).
     notify: Optional[Callable[[str], None]] = None
-    seed: int = 1
     #: Stable identity for lease-epoch fencing across daemons sharing
     #: a store fleet; defaults to ``host:pid``.
     daemon_id: Optional[str] = None
@@ -238,10 +232,9 @@ class CompileService:
             else ServiceConfig(**kwargs)
         self.tracer = self.config.tracer \
             if self.config.tracer is not None else NULL_TRACER
-        self.shared = self.config.shared
         self.daemon_id = self.config.daemon_id or \
             f"{socket.gethostname()}:{os.getpid()}"
-        self.store = self._build_store() if self.shared else None
+        self.store = self._build_store()
         self.scheduler = RequestScheduler(
             total_workers=max(1, self.config.slots),
             default_quota=self.config.default_quota,
@@ -281,9 +274,8 @@ class CompileService:
             self.config.notify(message)
 
     def _build_store(self):
-        """The service-owned store (daemon mode): every request and
-        session shares it, which is where cross-tenant dedup comes
-        from."""
+        """The service-owned store: every request and session shares
+        it, which is where cross-tenant dedup comes from."""
         from repro.store import ArtifactStore
 
         if self.config.store_urls:
@@ -304,34 +296,28 @@ class CompileService:
                     max_workers=self.config.workers)
             return self._pool
 
-    def build_engine(self, request: Optional[CompileRequest] = None,
-                     tracer=None) -> BuildEngine:
-        """One request's engine: cache, journal, deadline, crash plan.
+    def _engine(self, journal=None, deadline=None,
+                crash_plan=None) -> BuildEngine:
+        """An engine over the service store that borrows the service
+        pool; closing it closes neither."""
+        return BuildEngine(
+            cache=self.store, tracer=self.tracer, journal=journal,
+            deadline=deadline, crash_plan=crash_plan, owns_cache=False,
+            workers=self.config.workers or 1, pool=self._shared_pool())
 
-        In CLI mode this is byte-for-byte the old ``cli._engine``
-        wiring (private cache and root journal per invocation); in
-        shared mode the engine borrows the service store and process
-        pool and skips the root journal (leased sessions journal in
-        their own directories instead).
+    def build_engine(self, request: Optional[CompileRequest] = None
+                     ) -> BuildEngine:
+        """One request's engine: journal, deadline, crash plan.
+
+        A one-slot service journals the build at the store root, so
+        ``--resume`` can replay it; with more slots, concurrent
+        one-shot builds would interleave in that one journal, so they
+        run unjournaled (leased sessions journal in their own
+        directories).
         """
         req = request if request is not None else CompileRequest(app="")
-        tracer = tracer if tracer is not None else self.tracer
-        cache = None
         journal = None
-        owns_cache = True
-        if self.shared:
-            cache = self.store
-            owns_cache = False
-        elif self.config.store_urls:
-            from repro.store import ArtifactStore
-            from repro.store.remote import ShardedStoreClient
-            fallback = ArtifactStore(cache_dir=self.config.cache_dir)
-            cache = ShardedStoreClient(self.config.store_urls,
-                                       fallback=fallback, tracer=tracer)
-        elif self.config.cache_dir:
-            from repro.store import ArtifactStore
-            cache = ArtifactStore(cache_dir=self.config.cache_dir)
-        if not self.shared and self.config.cache_dir:
+        if self.config.cache_dir and self.config.slots <= 1:
             from repro.resilience import BuildJournal
             journal = BuildJournal(self.config.cache_dir,
                                    resume=bool(req.resume))
@@ -350,17 +336,8 @@ class CompileService:
             crash_plan = CrashPlan(req.crash_at_step,
                                    point=req.crash_point,
                                    mode="sigkill")
-        workers = self.config.workers
-        if workers is not None and workers > 1:
-            return ParallelBuildEngine(
-                cache=cache, workers=workers, tracer=tracer,
-                journal=journal, deadline=deadline,
-                crash_plan=crash_plan,
-                pool=self._shared_pool() if self.shared else None,
-                owns_cache=owns_cache)
-        return BuildEngine(cache=cache, tracer=tracer, journal=journal,
-                           deadline=deadline, crash_plan=crash_plan,
-                           owns_cache=owns_cache)
+        return self._engine(journal=journal, deadline=deadline,
+                            crash_plan=crash_plan)
 
     def make_flow(self, name: str, effort: float, seed: int = 1):
         try:
@@ -379,30 +356,12 @@ class CompileService:
                 hedge_quantile=self.config.hedge_quantile)
         return cls(**kwargs)
 
-    def open_session(self, effort: float = 0.3, cache_dir=None,
-                     store_urls=None, tracer=None) -> IncrementalSession:
-        """A CLI-mode :class:`IncrementalSession` wired like the old
-        ``pld edit`` path (the session owns its store)."""
-        from repro.store import ArtifactStore
-
-        tracer = tracer if tracer is not None else self.tracer
-        cache_dir = cache_dir if cache_dir is not None \
-            else self.config.cache_dir
-        store_urls = store_urls if store_urls is not None \
-            else self.config.store_urls
-        # One local store either way: cache_dir=None is the documented
-        # memory-only mode of ArtifactStore, so both branches share the
-        # same construction — with a fleet it becomes the client's
-        # hot tier / degraded fallback, without one it *is* the store.
-        local = ArtifactStore(cache_dir=cache_dir)
-        if store_urls:
-            from repro.store.remote import ShardedStoreClient
-            store = ShardedStoreClient(store_urls, fallback=local,
-                                       tracer=tracer)
-        else:
-            store = local
-        return IncrementalSession(store=store, effort=effort,
-                                  tracer=tracer)
+    def open_session(self, effort: float = 0.3) -> IncrementalSession:
+        """An :class:`IncrementalSession` over the service store,
+        journaled at ``cache_dir`` (the ``pld edit`` path)."""
+        return IncrementalSession(store=self.store, effort=effort,
+                                  tracer=self.tracer,
+                                  engine=self._engine())
 
     # -- session leases ------------------------------------------------------
 
@@ -441,11 +400,10 @@ class CompileService:
         shard fleet, or None without a fleet / publication.  Read
         remote-first (``fresh_get``): the local hot tier would shadow
         a peer's newer epoch forever."""
-        store = self.store
-        if store is None or not hasattr(store, "fresh_get"):
+        if not hasattr(self.store, "fresh_get"):
             return None
         try:
-            meta = store.fresh_get(self._session_meta_key(name))
+            meta = self.store.fresh_get(self._session_meta_key(name))
         except StoreError:
             return None
         return meta if isinstance(meta, dict) else None
@@ -458,15 +416,13 @@ class CompileService:
         drained by the next reconcile — publication is best-effort
         bookkeeping, the content-addressed artefacts are what make a
         cross-daemon resume bit-identical."""
-        store = self.store
-        if store is None or not hasattr(store, "fresh_get"):
-            return
-        if not state.directory.name:
+        if not hasattr(self.store, "fresh_get") \
+                or not state.directory.name:
             return
         meta = {"lease": dict(lease),
                 "journal": self._journal_text(state.directory)}
         try:
-            store.put(self._session_meta_key(state.name), meta)
+            self.store.put(self._session_meta_key(state.name), meta)
         except StoreError:
             pass
 
@@ -537,22 +493,13 @@ class CompileService:
         root = self._sessions_root()
         if root is None or not root.is_dir():
             return []
-        from repro.resilience.journal import journal_path, load_journal
-        interrupted = []
-        for directory in sorted(root.iterdir()):
-            if not directory.is_dir():
-                continue
-            records, _ = load_journal(journal_path(directory))
-            began = sum(1 for r in records if r.get("t") == "build-begin")
-            ended = sum(1 for r in records if r.get("t") == "build-end")
-            if began > ended:
-                interrupted.append(directory.name)
-        return interrupted
+        from repro.resilience.journal import (interrupted, journal_path,
+                                              load_journal)
+        return [directory.name for directory in sorted(root.iterdir())
+                if directory.is_dir() and interrupted(
+                    load_journal(journal_path(directory))[0])]
 
     def _session_state(self, req: CompileRequest) -> _SessionState:
-        if not self.shared:
-            raise ServiceError("named sessions need a shared-mode "
-                               "service (the daemon)", kind="bad-request")
         name = str(req.session)
         if not name or "/" in name or name.startswith("."):
             raise ServiceError(f"bad session name {name!r}",
@@ -569,25 +516,17 @@ class CompileService:
         epoch = self._adopt_session(name, directory)
         resume = False
         if directory is not None:
-            from repro.resilience.journal import (journal_path,
+            from repro.resilience.journal import (interrupted,
+                                                  journal_path,
                                                   load_journal)
-            records, _ = load_journal(journal_path(directory))
-            began = sum(1 for r in records if r.get("t") == "build-begin")
-            ended = sum(1 for r in records if r.get("t") == "build-end")
-            resume = began > ended
+            resume = interrupted(load_journal(journal_path(directory))[0])
             if resume:
                 self._notify(f"session {name!r}: resuming interrupted "
                              f"build from its journal")
-        engine = None
-        if self.config.workers is not None and self.config.workers > 1:
-            engine = ParallelBuildEngine(
-                cache=self.store, workers=self.config.workers,
-                tracer=self.tracer, pool=self._shared_pool(),
-                owns_cache=False)
         session = IncrementalSession(
             store=self.store, effort=req.effort, seed=req.seed,
             tracer=self.tracer, resume=resume,
-            journal_dir=directory, engine=engine, owns_store=False)
+            journal_dir=directory, engine=self._engine())
         state = _SessionState(name, session,
                               directory if directory is not None
                               else pathlib.Path("."))
@@ -612,7 +551,7 @@ class CompileService:
             # alone would leave the fleet with a journal from *before*
             # any step ran, so a daemon SIGKILLed mid-build would hand
             # its adopter nothing to resume.
-            if session.journal is not None and self.store is not None \
+            if session.journal is not None \
                     and hasattr(self.store, "fresh_get"):
                 session.journal.publish = lambda: self._publish_session(
                     state, self._read_lease(state.directory))
@@ -878,7 +817,7 @@ class CompileService:
         req = ticket.request
         app = self._app(req.app)
         engine = self.build_engine(req)
-        journal = getattr(engine, "journal", None)
+        journal = engine.journal
         try:
             if journal is not None:
                 journal.begin_build(req.flow, req.app)
@@ -980,9 +919,8 @@ class CompileService:
         configured quantile on exit.  (Cluster-job hedging is decided
         per flow in :meth:`make_flow`, which checks the live brownout
         flag.)"""
-        store = self.store
-        if store is not None and hasattr(store, "hedge_quantile"):
-            store.hedge_quantile = None if active \
+        if hasattr(self.store, "hedge_quantile"):
+            self.store.hedge_quantile = None if active \
                 else self.config.hedge_quantile
 
     @property
@@ -1038,7 +976,7 @@ class CompileService:
             sessions = sorted(self._sessions)
         steps = sum(v["steps"] for v in tenants.values())
         hits = sum(v["hits"] for v in tenants.values())
-        out = {
+        return {
             "tickets": tickets,
             "sessions": sessions,
             "tenants": tenants,
@@ -1046,10 +984,8 @@ class CompileService:
             "scheduler": self.scheduler.stats(),
             "admission": self.admission.snapshot(),
             "draining": self._draining,
+            "store": dict(self.store.stats()),
         }
-        if self.store is not None:
-            out["store"] = dict(self.store.stats())
-        return out
 
     def close(self, timeout: float = 30.0) -> None:
         """Drain running requests, close sessions, pool and store
@@ -1079,10 +1015,9 @@ class CompileService:
         if self._pool is not None:
             self._pool.shutdown()
             self._pool = None
-        if self.store is not None:
-            close = getattr(self.store, "close", None)
-            if callable(close):
-                close()
+        close = getattr(self.store, "close", None)
+        if callable(close):
+            close()
 
     def __enter__(self) -> "CompileService":
         return self

@@ -521,7 +521,6 @@ def serve(cache_dir: str, host: str = "127.0.0.1", port: int = 0,
           trace: Optional[str] = None,
           store_urls: Optional[str] = None,
           tokens: Optional[Dict[str, str]] = None,
-          daemon_id: Optional[str] = None,
           max_queued: Optional[int] = None,
           max_queued_per_tenant: Optional[int] = None,
           rates: Optional[Dict[str, float]] = None,
@@ -537,12 +536,12 @@ def serve(cache_dir: str, host: str = "127.0.0.1", port: int = 0,
 
     Args:
         cache_dir: the state directory — shared artifact store plus
-            one journal + lease per leased session under ``sessions/``.
+            one journal + lease per leased session under ``sessions/``
+            (with ``slots=1``, one-shot builds journal at its root).
         store_urls: comma-separated shard URLs; the daemon then fronts
             the fleet (shared dedup plane, cross-daemon session
             adoption) instead of a purely local store.
         tokens: per-tenant shared secrets gating ``submit``.
-        daemon_id: identity for lease-epoch fencing (host:pid default).
         max_queued / max_queued_per_tenant / rates / default_rate:
             admission control (see :mod:`repro.service.overload`).
         brownout_high / brownout_low: queue-depth EWMA watermarks.
@@ -562,10 +561,9 @@ def serve(cache_dir: str, host: str = "127.0.0.1", port: int = 0,
         from repro.trace import Tracer
         tracer = Tracer()
     service = CompileService(ServiceConfig(
-        cache_dir=cache_dir, store_urls=store_urls, shared=True,
+        cache_dir=cache_dir, store_urls=store_urls,
         workers=workers, slots=slots, quotas=dict(quotas or {}),
-        default_quota=default_quota, tracer=tracer,
-        daemon_id=daemon_id, notify=notify,
+        default_quota=default_quota, tracer=tracer, notify=notify,
         max_queued=max_queued,
         max_queued_per_tenant=max_queued_per_tenant,
         rates=dict(rates or {}), default_rate=default_rate,

@@ -203,11 +203,6 @@ class ArtifactStore:
                     pass
         return removed
 
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
     def stats(self) -> Dict[str, Any]:
         return {
             "hits": self.hits,

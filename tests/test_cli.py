@@ -103,24 +103,18 @@ class TestErrorHandling:
 
 
 class TestFlowLookup:
-    def test_unknown_flow_is_a_clean_exit(self):
-        from repro.cli import _flow
-
-        with pytest.raises(SystemExit, match="unknown flow"):
-            _flow("gpu", effort=0.3)
-
     def test_flow_constructor_keyerror_propagates(self, monkeypatch):
         # A KeyError raised *inside* a flow's __init__ is a real bug;
         # it must not be swallowed and misreported as "unknown flow".
         import repro.cli as cli
 
         class BrokenFlow:
-            def __init__(self, effort):
+            def __init__(self, effort, seed):
                 raise KeyError("missing internal table entry")
 
         monkeypatch.setitem(cli.FLOWS, "broken", BrokenFlow)
         with pytest.raises(KeyError, match="missing internal table"):
-            cli._flow("broken", effort=0.3)
+            main(["compile", "spam-filter", "--flow", "broken"])
 
 
 class TestEngineRouting:
@@ -213,11 +207,10 @@ class TestRemoteStoreCLI:
                 server.stop()
 
     def test_edit_with_store_and_no_cache_dir(self, tmp_path, capsys):
-        """Regression (satellite): ``pld edit --store`` with no
-        ``--cache-dir`` must run with a memory-only local tier — both
-        ``open_session`` branches now share the one
-        ``ArtifactStore(cache_dir=None)`` construction instead of only
-        the storeless branch guarding the None."""
+        """Regression: ``pld edit --store`` with no ``--cache-dir``
+        must run with a memory-only local tier — the service's one
+        store is then a ``ShardedStoreClient`` over
+        ``ArtifactStore(cache_dir=None)``."""
         from repro.store import ArtifactStore
         from repro.store.remote import StoreServer
 

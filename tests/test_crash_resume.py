@@ -34,14 +34,9 @@ def _compile(cache_dir, project, resume=False, crash_plan=None,
              parallel=False):
     store = ArtifactStore(cache_dir=cache_dir)
     journal = BuildJournal(cache_dir, resume=resume)
-    if parallel:
-        from repro.core import ParallelBuildEngine
-        engine = ParallelBuildEngine(cache=store, workers=2,
-                                     journal=journal,
-                                     crash_plan=crash_plan)
-    else:
-        engine = BuildEngine(cache=store, journal=journal,
-                             crash_plan=crash_plan)
+    engine = BuildEngine(cache=store, journal=journal,
+                         crash_plan=crash_plan,
+                         workers=2 if parallel else 1)
     journal.begin_build("o1", project.name)
     try:
         build = O1Flow(effort=EFFORT).compile(project, engine)
@@ -49,9 +44,7 @@ def _compile(cache_dir, project, resume=False, crash_plan=None,
         return build
     finally:
         journal.close()
-        close = getattr(engine, "close", None)
-        if callable(close):
-            close()
+        engine.close()
 
 
 @pytest.fixture(scope="module")
@@ -97,7 +90,7 @@ class TestCrashAtEveryStep:
 
     def test_crash_in_parallel_engine_resumes_too(self, tmp_path,
                                                   reference):
-        """The process-parallel engine journals identically."""
+        """A pooled engine (``workers=2``) journals identically."""
         project, ref = reference
         plan = CrashPlan(2, point="mid")
         with pytest.raises(InjectedCrash):

@@ -1,6 +1,6 @@
-"""Tests for the process-parallel build engine.
+"""Tests for the process-parallel path of the build engine.
 
-The contract under test: :class:`ParallelBuildEngine` is an *execution*
+The contract under test: ``BuildEngine(workers=N)`` is an *execution*
 optimisation only — for any batch of independent steps it must produce
 bit-identical artefacts, the same content keys and the same
 built/reused records as the serial :class:`BuildEngine`, and worker
@@ -16,7 +16,7 @@ import os
 
 import pytest
 
-from repro.core import BatchStep, BuildEngine, ParallelBuildEngine
+from repro.core import BatchStep, BuildEngine
 from repro.core.build import BuildCache
 
 
@@ -50,7 +50,7 @@ class TestParallelMatchesSerial:
     def test_identical_results_and_records(self):
         serial = BuildEngine()
         serial_out = serial.step_batch(_batch())
-        with ParallelBuildEngine(workers=2) as par:
+        with BuildEngine(workers=2) as par:
             par_out = par.step_batch(_batch())
             assert par_out == serial_out == [i * 2 for i in range(6)]
             assert par.record.keys == serial.record.keys
@@ -61,7 +61,7 @@ class TestParallelMatchesSerial:
             assert set(par.record.build_seconds) == set(par.record.built)
 
     def test_second_batch_is_all_cache_hits(self):
-        with ParallelBuildEngine(workers=2) as engine:
+        with BuildEngine(workers=2) as engine:
             first = engine.step_batch(_batch())
             engine.fresh_record()
             second = engine.step_batch(_batch())
@@ -74,7 +74,7 @@ class TestParallelMatchesSerial:
             BatchStep("a", ("a",), _describe, ("a",), {"n": 3}),
             BatchStep("b", ("b",), _describe, ("b",)),
         ]
-        with ParallelBuildEngine(workers=2) as engine:
+        with BuildEngine(workers=2) as engine:
             out = engine.step_batch(steps)
             assert out == [{"name": "a", "n": 3}, {"name": "b", "n": 1}]
             engine.fresh_record()
@@ -86,13 +86,13 @@ class TestParallelMatchesSerial:
 
     def test_duplicate_key_builds_once(self):
         # Same name + key parts twice in one batch: the serial engine
-        # builds once and reuses once; the parallel engine must too.
+        # builds once and reuses once; the pooled engine must too.
         dup = [BatchStep("dup", (7,), _double, (7,)),
                BatchStep("dup", (7,), _double, (7,)),
                BatchStep("other", (1,), _double, (1,))]
         serial = BuildEngine()
         serial_out = serial.step_batch(dup)
-        with ParallelBuildEngine(workers=2) as par:
+        with BuildEngine(workers=2) as par:
             par_out = par.step_batch(dup)
         assert par_out == serial_out == [14, 14, 2]
         assert sorted(par.record.built) == sorted(serial.record.built) \
@@ -100,7 +100,7 @@ class TestParallelMatchesSerial:
         assert par.record.reused == serial.record.reused == ["dup"]
 
     def test_workers_one_stays_in_process(self):
-        engine = ParallelBuildEngine(workers=1)
+        engine = BuildEngine(workers=1)
         assert engine.step_batch(_batch(3)) == [0, 2, 4]
         assert engine._pool is None
         engine.close()
@@ -110,7 +110,7 @@ class TestWorkerFailure:
     def test_crashed_worker_is_retried_not_hung(self):
         steps = [BatchStep(f"crash:{i}", (i,), _crash_in_worker, (i,))
                  for i in range(3)]
-        with ParallelBuildEngine(workers=2) as engine:
+        with BuildEngine(workers=2) as engine:
             out = engine.step_batch(steps)
             # The in-parent retry computed the real artefacts.
             assert out == [1, 2, 3]
@@ -122,7 +122,7 @@ class TestWorkerFailure:
     def test_deterministic_error_raises_in_parent(self):
         steps = [BatchStep("boom", (0,), _always_raises, (0,))] \
             + _batch(2)
-        with ParallelBuildEngine(workers=2) as engine:
+        with BuildEngine(workers=2) as engine:
             with pytest.raises(ValueError, match="deterministic failure"):
                 engine.step_batch(steps)
             assert engine.worker_retries >= 1
@@ -130,12 +130,12 @@ class TestWorkerFailure:
     def test_unpicklable_work_falls_back_to_in_process(self):
         steps = [BatchStep(f"lambda:{i}", (i,), (lambda x: x + 10), (i,))
                  for i in range(3)]
-        with ParallelBuildEngine(workers=2) as engine:
+        with BuildEngine(workers=2) as engine:
             assert engine.step_batch(steps) == [10, 11, 12]
             assert engine.worker_retries >= 1
 
     def test_close_is_idempotent(self):
-        engine = ParallelBuildEngine(workers=2)
+        engine = BuildEngine(workers=2)
         engine.step_batch(_batch(2))
         engine.close()
         engine.close()
@@ -154,7 +154,7 @@ class TestFlowLevelEquivalence:
         serial = BuildEngine(cache=BuildCache())
         serial_build = O1Flow(effort=0.1).compile(app.project, serial)
 
-        with ParallelBuildEngine(cache=BuildCache(), workers=2) as par:
+        with BuildEngine(cache=BuildCache(), workers=2) as par:
             par_build = O1Flow(effort=0.1).compile(app.project, par)
             assert par.worker_retries == 0
 

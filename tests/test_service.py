@@ -102,8 +102,7 @@ class TestManifestParity:
         with CompileService(ServiceConfig()) as service:
             oneshot = service.compile(
                 CompileRequest(app=APP, effort=EFFORT), timeout=120)
-        with CompileService(ServiceConfig(
-                cache_dir=str(tmp_path), shared=True)) as service:
+        with CompileService(ServiceConfig(cache_dir=str(tmp_path))) as service:
             leased = service.compile(
                 CompileRequest(app=APP, effort=EFFORT, session="s1"),
                 timeout=120)
@@ -119,7 +118,7 @@ class TestManifestParity:
 class TestCrossTenantDedup:
     def test_second_tenant_hits_store(self, tmp_path):
         with CompileService(ServiceConfig(
-                cache_dir=str(tmp_path), shared=True,
+                cache_dir=str(tmp_path),
                 slots=2)) as service:
             first = service.compile(
                 CompileRequest(app=APP, effort=EFFORT, tenant="alice",
@@ -139,8 +138,7 @@ class TestCrossTenantDedup:
     def test_oneshot_seed_reaches_the_flow(self, tmp_path):
         """The seed is a placement input: a one-shot request with a new
         seed must not be served the other seed's implementation."""
-        with CompileService(ServiceConfig(
-                cache_dir=str(tmp_path), shared=True)) as service:
+        with CompileService(ServiceConfig(cache_dir=str(tmp_path))) as service:
             first = service.compile(
                 CompileRequest(app=APP, effort=EFFORT, seed=1),
                 timeout=120)
@@ -153,8 +151,7 @@ class TestCrossTenantDedup:
             != manifest_bytes(first.build)
 
     def test_edit_only_dirties_one_operator(self, tmp_path):
-        with CompileService(ServiceConfig(
-                cache_dir=str(tmp_path), shared=True)) as service:
+        with CompileService(ServiceConfig(cache_dir=str(tmp_path))) as service:
             service.compile(
                 CompileRequest(app=APP, effort=EFFORT, session="s1"),
                 timeout=120)
@@ -166,20 +163,44 @@ class TestCrossTenantDedup:
             assert edited.dedup["impl_ratio"] > 0.5
 
     def test_edit_without_baseline_rejected(self, tmp_path):
-        with CompileService(ServiceConfig(
-                cache_dir=str(tmp_path), shared=True)) as service:
+        with CompileService(ServiceConfig(cache_dir=str(tmp_path))) as service:
             ticket = service.submit(
                 CompileRequest(app=APP, effort=EFFORT, session="s1",
                                edit_operator="first-hw"))
             with pytest.raises(ServiceError, match="no baseline"):
                 service.result(ticket, timeout=60)
 
-    def test_sessions_need_shared_mode(self):
+    def test_sessions_run_in_a_default_service(self):
         with CompileService(ServiceConfig()) as service:
-            ticket = service.submit(
-                CompileRequest(app=APP, effort=EFFORT, session="s1"))
-            with pytest.raises(ServiceError, match="shared-mode"):
-                service.result(ticket, timeout=60)
+            outcome = service.compile(
+                CompileRequest(app=APP, effort=EFFORT, session="s1"),
+                timeout=120)
+        assert outcome.kind == "compile"
+
+
+# --------------------------------------------------------------------------
+# the store root's journal: one build at a time, so one slot only
+# --------------------------------------------------------------------------
+
+
+class TestRootJournal:
+    def test_root_journal_only_when_one_slot(self, tmp_path):
+        from repro.resilience import journal_path, load_journal
+
+        root_journal = journal_path(tmp_path)
+        with CompileService(ServiceConfig(cache_dir=str(tmp_path),
+                                          slots=2)) as service:
+            service.compile(CompileRequest(app=APP, effort=EFFORT),
+                            timeout=120)
+        assert not root_journal.exists()
+
+        with CompileService(ServiceConfig(cache_dir=str(tmp_path),
+                                          slots=1)) as service:
+            service.compile(CompileRequest(app=APP, effort=EFFORT),
+                            timeout=120)
+        records, _ = load_journal(root_journal)
+        assert records[0]["t"] == "build-begin"
+        assert records[-1]["t"] == "build-end"
 
 
 # --------------------------------------------------------------------------
@@ -189,8 +210,7 @@ class TestCrossTenantDedup:
 
 class TestSessionLeases:
     def test_lease_written_and_released(self, tmp_path):
-        service = CompileService(ServiceConfig(
-            cache_dir=str(tmp_path), shared=True))
+        service = CompileService(ServiceConfig(cache_dir=str(tmp_path)))
         service.compile(CompileRequest(app=APP, effort=EFFORT,
                                        tenant="alice", session="s1"),
                         timeout=120)
@@ -203,8 +223,7 @@ class TestSessionLeases:
         assert lease["status"] == "released"
 
     def test_bad_session_names_rejected(self, tmp_path):
-        with CompileService(ServiceConfig(
-                cache_dir=str(tmp_path), shared=True)) as service:
+        with CompileService(ServiceConfig(cache_dir=str(tmp_path))) as service:
             for bad in ("../escape", ".hidden", "a/b"):
                 ticket = service.submit(
                     CompileRequest(app=APP, effort=EFFORT, session=bad))
@@ -216,8 +235,7 @@ class TestSessionLeases:
         # A clean run, whose journal we then truncate to look as if
         # the daemon died after the steps landed but before build-end
         # — exactly what SIGKILL mid-final-step leaves behind.
-        service = CompileService(ServiceConfig(
-            cache_dir=str(tmp_path), shared=True))
+        service = CompileService(ServiceConfig(cache_dir=str(tmp_path)))
         clean = service.compile(
             CompileRequest(app=APP, effort=EFFORT, session="s1"),
             timeout=120)
@@ -229,8 +247,7 @@ class TestSessionLeases:
                  if json.loads(line).get("t") != "build-end"]
         journal.write_text("\n".join(lines) + "\n")
 
-        restarted = CompileService(ServiceConfig(
-            cache_dir=str(tmp_path), shared=True))
+        restarted = CompileService(ServiceConfig(cache_dir=str(tmp_path)))
         assert restarted.interrupted_sessions() == ["s1"]
         resumed = restarted.compile(
             CompileRequest(app=APP, effort=EFFORT, session="s1"),
@@ -240,14 +257,12 @@ class TestSessionLeases:
         assert manifest_bytes(resumed.build) == clean_manifest
 
     def test_clean_restart_not_interrupted(self, tmp_path):
-        service = CompileService(ServiceConfig(
-            cache_dir=str(tmp_path), shared=True))
+        service = CompileService(ServiceConfig(cache_dir=str(tmp_path)))
         service.compile(
             CompileRequest(app=APP, effort=EFFORT, session="s1"),
             timeout=120)
         service.close()
-        restarted = CompileService(ServiceConfig(
-            cache_dir=str(tmp_path), shared=True))
+        restarted = CompileService(ServiceConfig(cache_dir=str(tmp_path)))
         assert restarted.interrupted_sessions() == []
         restarted.close()
 
@@ -263,8 +278,7 @@ def open_fds() -> int:
 
 class TestLifecycle:
     def test_service_close_idempotent(self, tmp_path):
-        service = CompileService(ServiceConfig(
-            cache_dir=str(tmp_path), shared=True))
+        service = CompileService(ServiceConfig(cache_dir=str(tmp_path)))
         service.compile(CompileRequest(app=APP, effort=EFFORT),
                         timeout=120)
         service.close()
@@ -293,7 +307,7 @@ class TestLifecycle:
         # Warm-up pass so lazily-created singletons don't count.
         for cycle in range(2):
             service = CompileService(ServiceConfig(
-                cache_dir=str(tmp_path / "soak"), shared=True))
+                cache_dir=str(tmp_path / "soak")))
             service.compile(CompileRequest(app=APP, effort=EFFORT,
                                            session="s1"), timeout=120)
             service.close()
@@ -301,7 +315,7 @@ class TestLifecycle:
         fds_before = open_fds()
         for cycle in range(5):
             service = CompileService(ServiceConfig(
-                cache_dir=str(tmp_path / "soak"), shared=True))
+                cache_dir=str(tmp_path / "soak")))
             service.compile(CompileRequest(app=APP, effort=EFFORT,
                                            session="s1"), timeout=120)
             service.close()
@@ -366,7 +380,7 @@ class TestCrossDaemonAdoption:
     def _service(tmp_path, urls, name):
         return CompileService(ServiceConfig(
             cache_dir=str(tmp_path / name),
-            store_urls=",".join(urls), shared=True, slots=2,
+            store_urls=",".join(urls), slots=2,
             daemon_id=name))
 
     @staticmethod
@@ -502,7 +516,7 @@ class TestCrossDaemonAdoption:
         """Without store_urls the shared plane is off: publication and
         fencing are no-ops and plain sessions behave as before."""
         service = CompileService(ServiceConfig(
-            cache_dir=str(tmp_path / "state"), shared=True, slots=2))
+            cache_dir=str(tmp_path / "state"), slots=2))
         try:
             outcome = self._compile(service)
             assert outcome.build is not None

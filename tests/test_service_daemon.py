@@ -449,7 +449,7 @@ def fleet():
 
 def _fleet_service(tmp_path, urls, **overrides):
     config = dict(cache_dir=str(tmp_path / "state"),
-                  store_urls=",".join(urls), shared=True, slots=2)
+                  store_urls=",".join(urls), slots=2)
     config.update(overrides)
     return CompileService(ServiceConfig(**config))
 
