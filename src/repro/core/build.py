@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import pickle
+import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
@@ -186,6 +187,44 @@ class BatchStep:
         return self.fn(*self.args, **self.kwargs)
 
 
+class WorkerPool:
+    """A lazily started process pool that is replaced once it breaks.
+
+    The compile service owns one and lends it to every engine it
+    builds; an engine that is lent none owns a private one.  An engine
+    fetches the live pool for each batch (:meth:`get`) and hands back a
+    pool a crashed worker broke (:meth:`replace`), so the next batch —
+    of that engine or the next — runs on a fresh pool.
+    """
+
+    def __init__(self, workers: int):
+        self.workers = workers
+        self._pool: Optional[ProcessPoolExecutor] = None
+        self._lock = threading.Lock()
+
+    def get(self) -> ProcessPoolExecutor:
+        with self._lock:
+            if self._pool is None:
+                self._pool = ProcessPoolExecutor(max_workers=self.workers)
+            return self._pool
+
+    def replace(self, broken: ProcessPoolExecutor) -> None:
+        """Retire ``broken``; the next :meth:`get` starts a new pool.
+        A second report of the same pool (every engine with futures on
+        it sees it break) is a no-op."""
+        with self._lock:
+            if self._pool is not broken:
+                return
+            self._pool = None
+        broken.shutdown(wait=False, cancel_futures=True)
+
+    def shutdown(self) -> None:
+        with self._lock:
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown()
+
+
 class BuildEngine:
     """Runs build steps through a cache.
 
@@ -225,18 +264,19 @@ class BuildEngine:
     service sharing one store across many engines passes False.
 
     ``workers`` > 1 runs the cache misses of a :meth:`step_batch` on
-    worker processes: a borrowed ``pool`` (the compile service lends
-    one to all its engines) is never shut down here, otherwise the
-    engine creates its own on the first batch with misses.  A crashed
-    or poisoned worker is not fatal: the step is retried in-process
+    worker processes: a lent ``pool`` (a :class:`WorkerPool`; the
+    compile service lends one to all its engines) is never shut down
+    here, otherwise the engine owns a private one.  A crashed or
+    poisoned worker is not fatal: the step is retried in-process
     (``worker_retries`` counts these), so a deterministic builder error
-    surfaces with a clean parent traceback instead of a hang.
+    surfaces with a clean parent traceback instead of a hang, and the
+    broken pool goes back to its :class:`WorkerPool` for a fresh one.
     """
 
     def __init__(self, cache=None, tracer=None, journal=None,
                  deadline=None, breaker=None, crash_plan=None,
                  owns_cache: bool = True, workers: int = 1,
-                 pool: Optional[ProcessPoolExecutor] = None):
+                 pool: Optional[WorkerPool] = None):
         self.cache = cache if cache is not None else BuildCache()
         self.owns_cache = owns_cache
         self.record = BuildRecord()
@@ -248,8 +288,10 @@ class BuildEngine:
         self.workers = workers
         #: Steps that failed on a worker and were re-run in-process.
         self.worker_retries = 0
-        self._pool = pool
         self._owns_pool = pool is None
+        if pool is None and workers > 1:
+            pool = WorkerPool(workers)
+        self._pool = pool
         self._closed = False
 
     # -- one step: hit bookkeeping and the miss pipeline --------------------
@@ -350,7 +392,7 @@ class BuildEngine:
         """
         steps = [s if isinstance(s, BatchStep) else BatchStep(*s)
                  for s in steps]
-        if self.workers <= 1 or len(steps) <= 1:
+        if self._pool is None or len(steps) <= 1:
             return [self.step(s.name, s.key_parts, s.run) for s in steps]
 
         results: List[Any] = [None] * len(steps)
@@ -392,15 +434,15 @@ class BuildEngine:
         # in flight, and the journal records every step about to build.
         for _pos, s, key in misses:
             self._begin(s.name, key)
+        pool = self._pool.get()
         futures = None
         try:
-            pool = self._ensure_pool()
             futures = [pool.submit(s.fn, *s.args, **s.kwargs)
                        for _pos, s, _key in misses]
         except Exception:
             # Submission itself failed (dead pool): everything falls
             # back to in-process execution below.
-            self._drop_pool()
+            self._pool.replace(pool)
         for i, (pos, s, key) in enumerate(misses):
             artefact = None
             retried = False
@@ -414,7 +456,7 @@ class BuildEngine:
                     # instantly, and each step retries in-process.
                     self.worker_retries += 1
                     retried = True
-                    self._drop_pool()
+                    self._pool.replace(pool)
                 except Exception:
                     self.worker_retries += 1
                     retried = True
@@ -435,21 +477,7 @@ class BuildEngine:
                     cache="miss", key=key, worker_retry=retried)
             results[pos] = self._built(s.name, key, artefact)
 
-    # -- pool and lifecycle --------------------------------------------------
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
-            self._owns_pool = True
-        return self._pool
-
-    def _drop_pool(self, wait: bool = False) -> None:
-        """Let go of the pool.  An owned pool is shut down (without
-        waiting when it is poisoned); a borrowed one is left to its
-        owner."""
-        if self._pool is not None and self._owns_pool:
-            self._pool.shutdown(wait=wait, cancel_futures=not wait)
-        self._pool = None
+    # -- lifecycle -----------------------------------------------------------
 
     def cache_stats(self) -> Dict[str, int]:
         """The cache's counters (hits / misses / evictions, plus tiers)."""
@@ -467,7 +495,9 @@ class BuildEngine:
         remote.ShardedStoreClient` and its socket pools).  A second
         close is a no-op.
         """
-        self._drop_pool(wait=True)
+        if self._pool is not None and self._owns_pool:
+            self._pool.shutdown()
+        self._pool = None
         if self._closed:
             return
         self._closed = True

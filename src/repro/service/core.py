@@ -23,9 +23,11 @@ over the same layer:
   pay once; the second request's steps are store hits, reported as a
   dedup ratio per request and aggregated per tenant.
 * **Shared engine workers** — with ``workers > 1`` the service owns a
-  single process pool that every request's and session's
-  ``BuildEngine(workers=N)`` borrows, so concurrent requests multiplex
-  one set of engine workers (what the scheduler's quotas meter).
+  single :class:`~repro.core.build.WorkerPool` that every request's
+  and session's ``BuildEngine(workers=N)`` borrows, so concurrent
+  requests multiplex one set of engine workers (what the scheduler's
+  quotas meter); a worker crash that breaks it gets it replaced, not
+  abandoned.
 """
 
 from __future__ import annotations
@@ -36,12 +38,12 @@ import pathlib
 import socket
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import ServiceError, StoreError
 from repro.core import BuildEngine, IncrementalSession, touch_spec
+from repro.core.build import WorkerPool
 from repro.core.flows import FLOWS
 from repro.service.overload import AdmissionController
 from repro.service.scheduler import RequestScheduler
@@ -136,10 +138,6 @@ class Ticket:
         self.outcome: Optional[RequestOutcome] = None
         self.error: Optional[BaseException] = None
         self.done = threading.Event()
-        #: Invoked (with the ticket) when the request finishes; the
-        #: daemon registers loop.call_soon_threadsafe wakeups here so
-        #: a waiting client costs an asyncio.Event, not a thread.
-        self.callbacks: List[Callable[["Ticket"], None]] = []
         self.submitted = time.monotonic()
         self.started: Optional[float] = None
         self.finished: Optional[float] = None
@@ -213,10 +211,7 @@ class _SessionState:
         self.session = session
         self.directory = directory
         self.lock = threading.Lock()
-        self.tenant = ""
-        self.app = ""
         self.edits = 0
-        self.resumed_last = 0
         #: Fencing epoch: bumped past the published epoch every time a
         #: daemon (re)opens the session, so exactly one daemon's writes
         #: are current and a stale owner fences itself off.
@@ -252,7 +247,8 @@ class CompileService:
         self._admit_lock = threading.Lock()
         self._draining = False
         self.peers: List[str] = list(self.config.peers)
-        self._pool: Optional[ProcessPoolExecutor] = None
+        self._pool = WorkerPool(self.config.workers) \
+            if (self.config.workers or 1) > 1 else None
         self._tickets: Dict[str, Ticket] = {}
         self._by_seq: Dict[int, Ticket] = {}
         self._sessions: Dict[str, _SessionState] = {}
@@ -287,15 +283,6 @@ class CompileService:
                 tracer=self.tracer)
         return ArtifactStore(cache_dir=self.config.cache_dir)
 
-    def _shared_pool(self) -> Optional[ProcessPoolExecutor]:
-        if not self.config.workers or self.config.workers <= 1:
-            return None
-        with self._lock:
-            if self._pool is None:
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.config.workers)
-            return self._pool
-
     def _engine(self, journal=None, deadline=None,
                 crash_plan=None) -> BuildEngine:
         """An engine over the service store that borrows the service
@@ -303,7 +290,7 @@ class CompileService:
         return BuildEngine(
             cache=self.store, tracer=self.tracer, journal=journal,
             deadline=deadline, crash_plan=crash_plan, owns_cache=False,
-            workers=self.config.workers or 1, pool=self._shared_pool())
+            workers=self.config.workers or 1, pool=self._pool)
 
     def build_engine(self, request: Optional[CompileRequest] = None
                      ) -> BuildEngine:
@@ -530,7 +517,6 @@ class CompileService:
         state = _SessionState(name, session,
                               directory if directory is not None
                               else pathlib.Path("."))
-        state.tenant = req.tenant
         state.epoch = epoch
         state.owner = self.daemon_id
         with self._lock:
@@ -672,36 +658,13 @@ class CompileService:
             "session": ticket.request.session,
         }
 
-    def add_done_callback(self, ticket_id: str,
-                          fn: Callable[[Ticket], None]) -> None:
-        """Invoke ``fn(ticket)`` once the request finishes —
-        immediately if it already has.  This is the daemon's
-        completion-notification hook: one registered callback per
-        waiting client instead of one parked executor thread, which is
-        what lets 64+ concurrent ``result`` waiters coexist with a
-        default executor of ~32 threads."""
-        ticket = self._ticket(ticket_id)
-        with self._lock:
-            if not ticket.done.is_set():
-                ticket.callbacks.append(fn)
-                return
-        fn(ticket)
-
-    def remove_done_callback(self, ticket_id: str,
-                             fn: Callable[[Ticket], None]) -> bool:
-        """Unregister a pending done-callback (client disconnected
-        before its ticket finished).  False when the callback already
-        fired, was never registered, or the ticket is gone — all fine:
-        the caller only cares that it will not be invoked later."""
-        with self._lock:
-            ticket = self._tickets.get(ticket_id)
-            if ticket is None:
-                return False
-            try:
-                ticket.callbacks.remove(fn)
-                return True
-            except ValueError:
-                return False
+    def wait(self, ticket_id: str, timeout: Optional[float] = None
+             ) -> bool:
+        """Block until the request finishes (True) or ``timeout``
+        seconds pass (False).  Unlike :meth:`result` it neither raises
+        the request's failure nor marks its result delivered — the
+        daemon's ``result`` waiter slices its wait with it."""
+        return self._ticket(ticket_id).done.wait(timeout)
 
     def result(self, ticket_id: str,
                timeout: Optional[float] = None) -> RequestOutcome:
@@ -770,16 +733,7 @@ class CompileService:
                 self._active = [t for t in self._active
                                 if t is not threading.current_thread()]
                 self._wake.notify_all()
-                # done + callback swap under the lock, so a concurrent
-                # add_done_callback either enqueues before the swap or
-                # sees done set and fires immediately — never neither.
-                ticket.done.set()
-                callbacks, ticket.callbacks = ticket.callbacks, []
-            for fn in callbacks:
-                try:
-                    fn(ticket)
-                except Exception:
-                    pass                 # a waiter's bug is its own
+            ticket.done.set()
 
     # -- execution -----------------------------------------------------------
 
@@ -864,7 +818,6 @@ class CompileService:
                     outcome = self._session_edit(ticket, state, app)
                 else:
                     build = state.session.compile(app.project)
-                    state.app = req.app
                     outcome = RequestOutcome(
                         ticket=ticket.id, kind="compile", build=build,
                         dedup=dedup_summary(state.session.engine.record),
@@ -1014,7 +967,6 @@ class CompileService:
                 self._publish_session(state, lease)
         if self._pool is not None:
             self._pool.shutdown()
-            self._pool = None
         close = getattr(self.store, "close", None)
         if callable(close):
             close()

@@ -1,8 +1,10 @@
 """The ``pld serve`` daemon: a TCP frontend over :class:`CompileService`.
 
-One asyncio server speaks the remote-store wire format (length-prefixed
-JSON header + opaque payload, :mod:`repro.store.remote.framing`) and
-maps each request header onto the service:
+The daemon runs the store shards' server loop
+(:class:`~repro.store.remote.server.FrameServer`: one thread per
+connection), speaks their wire format (length-prefixed JSON header +
+opaque payload, :mod:`repro.store.remote.framing`) and maps each
+request header onto the service:
 
 ========  ===================================================
 op        effect
@@ -27,23 +29,23 @@ connection: every handler runs under a guard that maps non-PLD
 and anything else to ``kind="internal"``, and the loop answers with an
 error frame and reads the next request.
 
-The event loop does no service work itself.  ``submit``/``status``/
-``stats`` run in the default executor (they take service locks and
-touch lease/journal files on disk); ``result`` parks **no** thread at
-all — each waiter registers a :meth:`CompileService.add_done_callback`
-that fires an ``asyncio.Event`` via ``call_soon_threadsafe``, so 64+
-concurrent waiters cost 64 events, not 64 of the executor's ~32
-threads.
+Each handler calls the service on its connection's thread, so a slow
+service call (a lease or journal write) holds up only its own client.
+A ``result`` waiter blocks that thread on the ticket
+(:meth:`CompileService.wait`) in :data:`DISCONNECT_POLL_SECONDS`
+slices and polls for a hang-up between them, so a client that gave up
+frees its thread; ``--max-connections`` bounds how many such threads
+clients can make the daemon start.
 
 With ``--store`` the daemon fronts a shard fleet through the service's
 one :class:`~repro.store.remote.ShardedStoreClient`, the client the
 build workers use too.  The daemon starts that client's reconciler
 thread, which drains write-behind debts every ``reconcile_interval``
-seconds; ``stats`` runs the per-shard health probes (``ping_all``) in
-the executor, off the loop; and the final reconcile is the client's
-own close, which the service's close runs.  Tenant tokens
-(``--token T=SECRET``) gate ``submit`` with ``kind="auth"`` errors so
-per-tenant quotas cannot be bypassed by lying about the tenant field.
+seconds; ``stats`` runs the per-shard health probes (``ping_all``);
+and the final reconcile is the client's own close, which the
+service's close runs.  Tenant tokens (``--token T=SECRET``) gate
+``submit`` with ``kind="auth"`` errors so per-tenant quotas cannot be
+bypassed by lying about the tenant field.
 
 State (store, session journals, leases) lives under ``--state DIR``; a
 daemon killed mid-build and restarted over the same directory finds
@@ -51,24 +53,23 @@ the interrupted session journals and resumes them on the next submit.
 Over a shared fleet the same contract extends across machines: each
 leased session's lease + journal is published to the store under a
 fenced epoch, so a *different* daemon can adopt and resume it — the
-bit-identical-restart contract the CI smoke jobs enforce.
+bit-identical-restart contract ``tests/test_service_daemon.py`` and
+the CI smoke jobs enforce.
 """
 
 from __future__ import annotations
 
-import asyncio
-import functools
 import hmac
 import json
 import os
 import signal
 import sys
+import threading
 import time
 from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import DeadlineExceeded, PLDError, ServiceError
-from repro.store.remote.framing import (recv_frame_async,
-                                        send_frame_async)
+from repro.store.remote.server import FrameServer, peer_closed
 from repro.service.core import (CompileRequest, CompileService,
                                 RequestOutcome, ServiceConfig)
 
@@ -85,19 +86,14 @@ _SUBMIT_FIELDS = {
 #: daemon fronts a shard fleet.
 DEFAULT_RECONCILE_INTERVAL = 2.0
 
-#: How often a parked ``result`` waiter polls its connection for EOF,
-#: so a vanished client's done-callback unregisters instead of
-#: accumulating (completion itself still wakes the waiter instantly).
+#: How often a parked ``result`` waiter polls its connection for a
+#: hang-up, so a vanished client's thread is freed instead of parked
+#: until the ticket finishes (completion still wakes it instantly).
 DISCONNECT_POLL_SECONDS = 0.1
 
 #: How long a drained daemon waits, once its backlog is done, for
 #: clients to collect the results of work it admitted before exiting.
 DRAIN_LINGER_SECONDS = 10.0
-
-
-class _ClientDisconnected(Exception):
-    """Internal: a ``result`` waiter's client hung up mid-wait; the
-    connection loop tears the connection down without answering."""
 
 
 def request_from_header(header: Dict[str, Any]) -> CompileRequest:
@@ -176,8 +172,13 @@ def error_to_wire(exc: BaseException) -> Dict[str, Any]:
     return header
 
 
-class ServeDaemon:
-    """The asyncio server; one instance per ``pld serve`` process."""
+class ServeDaemon(FrameServer):
+    """The ``pld serve`` server; one instance per process.
+
+    A :class:`~repro.store.remote.server.FrameServer`: one thread per
+    connection, each answering its frames through the ``_op_*``
+    handlers, which call the service directly.
+    """
 
     def __init__(self, service: CompileService,
                  host: str = "127.0.0.1", port: int = 0,
@@ -185,40 +186,21 @@ class ServeDaemon:
                  reconcile_interval: float = DEFAULT_RECONCILE_INTERVAL,
                  max_connections: Optional[int] = None,
                  frame_timeout: Optional[float] = None):
+        super().__init__(host, port, max_connections=max_connections,
+                         frame_timeout=frame_timeout)
         self.service = service
-        self.host = host
-        self.port = port
         #: Per-tenant shared secrets; empty means auth is off.
         self.tokens = dict(tokens or {})
         self.reconcile_interval = reconcile_interval
-        #: Concurrent-connection cap; the over-limit connection gets
-        #: one ``kind="overloaded"`` error frame and is closed.
-        self.max_connections = max_connections
-        #: Per-frame read/write budget (seconds) once a frame starts —
-        #: the slow-loris guard.  Idle keep-alive waits stay unbounded.
-        self.frame_timeout = frame_timeout
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._stopping = asyncio.Event()
+        self._stopping = threading.Event()
         self._started = time.monotonic()
-        self._drain_task: Optional[asyncio.Task] = None
-        self.connections = 0
-        self.active_connections = 0
-        self.rejected_connections = 0
-        self.requests = 0
-        #: Requests read but not yet answered; a drain lets them finish.
-        self.in_flight = 0
+        self._drain_thread: Optional[threading.Thread] = None
         #: Clients currently parked in ``result`` (and the high-water
-        #: mark) — each costs one asyncio.Event, never a thread.
+        #: mark) — each holds its own connection's thread.
         self.waiters = 0
         self.peak_waiters = 0
 
     # -- helpers -------------------------------------------------------------
-
-    async def _call(self, fn, *args, **kwargs):
-        """Run a blocking service call off-loop (default executor)."""
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(
-            None, functools.partial(fn, *args, **kwargs))
 
     @property
     def _fleet(self):
@@ -245,11 +227,11 @@ class ServeDaemon:
 
     # -- per-op handlers -----------------------------------------------------
 
-    async def _op_ping(self, header, payload, reader=None):
+    def _op_ping(self, header, conn):
         return {"ok": True, "pid": os.getpid(),
                 "uptime": time.monotonic() - self._started}, b""
 
-    async def _op_health(self, header, payload, reader=None):
+    def _op_health(self, header, conn):
         """Liveness vs. readiness: a live daemon answers; a *ready*
         one is also accepting new submits (not draining/stopping).
         Load balancers route on ``ready``, watchdogs on ``live``."""
@@ -264,30 +246,25 @@ class ServeDaemon:
                 "connections": self.active_connections,
                 "pid": os.getpid()}, b""
 
-    async def _op_submit(self, header, payload, reader=None):
+    def _op_submit(self, header, conn):
         if self.service.draining:
-            # Fast path: no auth, no executor hop — a draining daemon
-            # answers every submit with its peer hints immediately.
+            # Fast path: no auth — a draining daemon answers every
+            # submit with its peer hints immediately.
             return {"ok": False, "kind": "draining",
                     "error": "daemon is draining; resubmit to a peer",
                     "retry_after": 1.0,
                     "peers": list(self.service.peers)}, b""
         self._check_auth(header)
-        request = request_from_header(header)
-        # submit takes service locks and writes lease/journal files —
-        # never on the event loop.
-        ticket = await self._call(self.service.submit, request)
-        status = await self._call(self.service.status, ticket)
+        ticket = self.service.submit(request_from_header(header))
         return {"ok": True, "ticket": ticket,
-                "position": status["position"]}, b""
+                "position": self.service.status(ticket)["position"]}, b""
 
-    async def _op_status(self, header, payload, reader=None):
-        status = await self._call(self.service.status,
-                                  str(header.get("ticket", "")))
+    def _op_status(self, header, conn):
+        status = self.service.status(str(header.get("ticket", "")))
         status["ok"] = True
         return status, b""
 
-    async def _op_result(self, header, payload, reader=None):
+    def _op_result(self, header, conn):
         ticket = str(header.get("ticket", ""))
         raw_timeout = header.get("timeout")
         try:
@@ -296,68 +273,55 @@ class ServeDaemon:
         except (TypeError, ValueError):
             raise ServiceError(f"bad 'timeout' value {raw_timeout!r}",
                                kind="bad-request")
-        loop = asyncio.get_running_loop()
-        event = asyncio.Event()
-
-        def _wake(_ticket) -> None:
-            loop.call_soon_threadsafe(event.set)
-
-        # Validates the ticket (kind="unknown-ticket") and fires
-        # immediately when it is already done.
-        self.service.add_done_callback(ticket, _wake)
-        self.waiters += 1
-        self.peak_waiters = max(self.peak_waiters, self.waiters)
-        deadline = None if timeout is None else loop.time() + timeout
+        deadline = None if timeout is None else time.monotonic() + timeout
+        step = DISCONNECT_POLL_SECONDS if timeout is None \
+            else min(DISCONNECT_POLL_SECONDS, timeout)
+        with self._lock:
+            self.waiters += 1
+            self.peak_waiters = max(self.peak_waiters, self.waiters)
         try:
-            # Completion wakes the event instantly; the short wait_for
-            # slices only bound how long a *disconnect* goes unnoticed,
-            # so a client that hung up unregisters its callback instead
-            # of accumulating one per abandoned wait.
-            while not event.is_set():
-                if reader is not None and reader.at_eof():
-                    self.service.remove_done_callback(ticket, _wake)
-                    raise _ClientDisconnected()
-                if deadline is not None and loop.time() >= deadline:
-                    self.service.remove_done_callback(ticket, _wake)
-                    status = await self._call(self.service.status,
-                                              ticket)
-                    raise ServiceError(
-                        f"request {ticket} still {status['state']} "
-                        f"after {timeout:g}s", kind="timeout")
-                step = DISCONNECT_POLL_SECONDS
+            # Completion ends the wait at once; the slices only bound
+            # how long a hang-up goes unnoticed, so a client that gave
+            # up frees its thread instead of parking it until the
+            # ticket finishes.  ``wait`` validates the ticket.
+            while not self.service.wait(ticket, step):
+                if not self._running or peer_closed(conn):
+                    return None
                 if deadline is not None:
-                    step = min(step, max(0.01, deadline - loop.time()))
-                try:
-                    await asyncio.wait_for(event.wait(), step)
-                except asyncio.TimeoutError:
-                    pass
+                    left = deadline - time.monotonic()
+                    if left <= 0:
+                        status = self.service.status(ticket)
+                        raise ServiceError(
+                            f"request {ticket} still {status['state']} "
+                            f"after {timeout:g}s", kind="timeout")
+                    step = min(DISCONNECT_POLL_SECONDS, left)
         finally:
-            self.waiters -= 1
+            with self._lock:
+                self.waiters -= 1
         # The ticket is done: this re-raise/fetch returns immediately.
-        outcome = await self._call(self.service.result, ticket,
-                                   timeout=0)
-        return await self._call(outcome_to_wire, outcome)
+        return outcome_to_wire(self.service.result(ticket, timeout=0))
 
-    async def _op_stats(self, header, payload, reader=None):
-        stats = await self._call(self.service.stats)
+    def _op_stats(self, header, conn):
+        stats = self.service.stats()
         stats["ok"] = True
         stats["pid"] = os.getpid()
         stats["uptime"] = time.monotonic() - self._started
-        stats["waiters"] = {"active": self.waiters,
-                            "peak": self.peak_waiters}
-        stats["connections"] = {
-            "active": self.active_connections,
-            "total": self.connections,
-            "rejected": self.rejected_connections,
-            "max": self.max_connections}
+        with self._lock:
+            stats["waiters"] = {"active": self.waiters,
+                                "peak": self.peak_waiters}
+            stats["connections"] = {
+                "active": len(self._conns),
+                "total": self.connections,
+                "rejected": self.rejected_connections,
+                "max": self.max_connections}
         fleet = self._fleet
         if fleet is not None:
-            health = await self._call(fleet.ping_all)
+            health = fleet.ping_all()
             stats["shard_health"] = health
             stats["shards_up"] = sum(1 for up in health.values() if up)
         return stats, b""
 
-    async def _op_drain(self, header, payload, reader=None):
+    def _op_drain(self, header, conn):
         """Zero-downtime stop: flip to draining (submits answer
         ``kind="draining"`` with peer hints), let queued + running
         builds finish and their results be collected, republish
@@ -366,71 +330,17 @@ class ServeDaemon:
         return {"ok": True, "draining": True,
                 "peers": list(self.service.peers)}, b""
 
-    async def _op_shutdown(self, header, payload, reader=None):
-        self._stopping.set()
+    def _op_shutdown(self, header, conn):
+        # The stop itself waits for this reply to be sent (_replied):
+        # clients call shutdown() expecting an answer.
         return {"ok": True, "stopping": True}, b""
 
-    # -- connection loop -----------------------------------------------------
+    # -- the frame loop's hooks ----------------------------------------------
 
-    async def _handle(self, reader: asyncio.StreamReader,
-                      writer: asyncio.StreamWriter) -> None:
-        self.connections += 1
-        if self.max_connections is not None \
-                and self.active_connections >= self.max_connections:
-            # One error frame, then hang up: the cap protects the
-            # daemon's memory and loop, not the client's feelings.
-            self.rejected_connections += 1
-            try:
-                await send_frame_async(
-                    writer,
-                    {"ok": False, "kind": "overloaded",
-                     "error": f"connection limit "
-                              f"({self.max_connections}) reached",
-                     "retry_after": 1.0},
-                    timeout=self.frame_timeout or 5.0)
-            except PLDError:
-                pass
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError,
-                    asyncio.CancelledError):
-                pass
-            return
-        self.active_connections += 1
-        try:
-            while True:
-                try:
-                    header, payload = await recv_frame_async(
-                        reader, frame_timeout=self.frame_timeout)
-                except PLDError:
-                    break                 # client went away / bad frame
-                except asyncio.CancelledError:
-                    break                 # server closing this connection
-                self.requests += 1
-                self.in_flight += 1
-                try:
-                    response, body = await self._dispatch(
-                        header, payload, reader)
-                    await send_frame_async(writer, response, body,
-                                           timeout=self.frame_timeout)
-                except (_ClientDisconnected, PLDError):
-                    break                 # client gone / reply unsendable
-                finally:
-                    self.in_flight -= 1
-        finally:
-            self.active_connections -= 1
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError,
-                    asyncio.CancelledError):
-                pass
-
-    async def _dispatch(self, header: Dict[str, Any], payload: bytes,
-                        reader) -> Tuple[Dict[str, Any], bytes]:
-        """Answer one request frame.  Raises :class:`_ClientDisconnected`
-        when a ``result`` waiter's client hung up mid-wait."""
+    def _handle(self, header: Dict[str, Any], payload: bytes, conn
+                ) -> Optional[Tuple[Dict[str, Any], bytes]]:
+        """Answer one request frame; None when a ``result`` waiter's
+        client hung up mid-wait."""
         op = header.get("op", "")
         handler = getattr(self, f"_op_{op}", None) \
             if isinstance(op, str) else None
@@ -438,13 +348,9 @@ class ServeDaemon:
             return {"ok": False, "error": f"unknown op {op!r}",
                     "kind": "bad-request"}, b""
         try:
-            return await handler(header, payload, reader)
-        except _ClientDisconnected:
-            raise
+            return handler(header, conn)
         except PLDError as exc:
             return error_to_wire(exc), b""
-        except asyncio.CancelledError:
-            raise
         except (ValueError, TypeError, KeyError) as exc:
             # A malformed header the op-specific coercions missed: the
             # *request* is bad, the connection is fine — answer and
@@ -455,47 +361,38 @@ class ServeDaemon:
             return {"ok": False, "error": f"{type(exc).__name__}: {exc}",
                     "kind": "internal"}, b""
 
+    def _replied(self, header: Dict[str, Any]) -> None:
+        if header.get("op") == "shutdown":
+            self.request_stop()
+
     # -- lifecycle -----------------------------------------------------------
 
-    async def start(self) -> Tuple[str, int]:
+    def start(self) -> "ServeDaemon":
         fleet = self._fleet
         # An interval of 0 turns the reconciler off (it would spin).
         if fleet is not None and self.reconcile_interval > 0:
             fleet.start_reconciler(self.reconcile_interval)
-        self._server = await asyncio.start_server(
-            self._handle, host=self.host, port=self.port)
-        sockname = self._server.sockets[0].getsockname()
-        self.port = sockname[1]
-        return sockname[0], sockname[1]
+        return super().start()
 
-    async def serve_until_stopped(self) -> None:
-        await self._stopping.wait()
-        if self._drain_task is not None and not self._drain_task.done():
-            # A shutdown op raced an in-progress drain; the stop wins.
-            self._drain_task.cancel()
-            try:
-                await self._drain_task
-            except asyncio.CancelledError:
-                pass
-            self._drain_task = None
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+    def serve_until_stopped(self) -> None:
+        """Block until a stop is requested, then :meth:`stop`."""
+        self._stopping.wait()
+        self.stop()
 
     def request_stop(self) -> None:
         self._stopping.set()
 
-    async def _drain_then_stop(self) -> None:
-        await self._call(self.service.wait_idle)
+    def _drain_then_stop(self) -> None:
+        self.service.wait_idle()
         # The backlog is done, but its clients may not have collected
         # every result yet, and a reply may still be on its way out:
         # stopping now would cut those connections.  Linger, bounded.
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + DRAIN_LINGER_SECONDS
+        deadline = time.monotonic() + DRAIN_LINGER_SECONDS
         while (self.service.undelivered() or self.in_flight) \
-                and loop.time() < deadline:
-            await asyncio.sleep(0.05)
-        self._stopping.set()
+                and time.monotonic() < deadline \
+                and not self._stopping.is_set():
+            time.sleep(0.05)
+        self.request_stop()
 
     def request_drain(self) -> None:
         """Flip to draining and stop once the backlog is empty and its
@@ -505,52 +402,35 @@ class ServeDaemon:
         delivered, session leases republish for adoption on close,
         exit 0."""
         self.service.begin_drain()
-        if self._drain_task is None:
-            try:
-                loop = asyncio.get_running_loop()
-            except RuntimeError:
-                self._stopping.set()
+        with self._lock:
+            if self._drain_thread is not None:
                 return
-            self._drain_task = loop.create_task(self._drain_then_stop())
+            self._drain_thread = threading.Thread(
+                target=self._drain_then_stop, name="pld-serve-drain",
+                daemon=True)
+        self._drain_thread.start()
 
 
-def serve(cache_dir: str, host: str = "127.0.0.1", port: int = 0,
-          workers: Optional[int] = None, slots: int = 4,
-          quotas: Optional[Dict[str, int]] = None,
-          default_quota: Optional[int] = None,
-          trace: Optional[str] = None,
-          store_urls: Optional[str] = None,
+def serve(cache_dir: str, *, host: str = "127.0.0.1", port: int = 0,
           tokens: Optional[Dict[str, str]] = None,
-          max_queued: Optional[int] = None,
-          max_queued_per_tenant: Optional[int] = None,
-          rates: Optional[Dict[str, float]] = None,
-          default_rate: Optional[float] = None,
-          brownout_high: Optional[float] = None,
-          brownout_low: Optional[float] = None,
-          hedge_quantile: Optional[float] = None,
-          peers: Optional[list] = None,
           max_connections: Optional[int] = None,
           frame_timeout: Optional[float] = None,
-          notify=print, ready=None) -> int:
+          trace: Optional[str] = None, notify=print, ready=None,
+          **config) -> int:
     """Run the daemon in the foreground until SIGTERM/SIGINT/shutdown.
 
     Args:
         cache_dir: the state directory — shared artifact store plus
             one journal + lease per leased session under ``sessions/``
             (with ``slots=1``, one-shot builds journal at its root).
-        store_urls: comma-separated shard URLs; the daemon then fronts
-            the fleet (shared dedup plane, cross-daemon session
-            adoption) instead of a purely local store.
         tokens: per-tenant shared secrets gating ``submit``.
-        max_queued / max_queued_per_tenant / rates / default_rate:
-            admission control (see :mod:`repro.service.overload`).
-        brownout_high / brownout_low: queue-depth EWMA watermarks.
-        hedge_quantile: hedged-retry quantile for store reads and o1
-            page jobs (brownout disables it).
-        peers: alternate daemon addresses handed to clients on drain.
         max_connections / frame_timeout: connection hardening.
+        trace: write the service's Chrome trace here on exit.
         ready: optional callback invoked with ``(host, port)`` once the
             listener is bound (tests use it instead of scraping stdout).
+        config: :class:`ServiceConfig` fields (``store_urls``,
+            ``workers``, ``quotas``, ``max_queued``, ``peers``, ...);
+            ``slots`` defaults to 4.
 
     Returns the process exit code (0 on a clean stop).  SIGTERM drains
     (running builds finish, sessions republish for peer adoption);
@@ -560,16 +440,10 @@ def serve(cache_dir: str, host: str = "127.0.0.1", port: int = 0,
     if trace:
         from repro.trace import Tracer
         tracer = Tracer()
+    config.setdefault("slots", 4)
     service = CompileService(ServiceConfig(
-        cache_dir=cache_dir, store_urls=store_urls,
-        workers=workers, slots=slots, quotas=dict(quotas or {}),
-        default_quota=default_quota, tracer=tracer, notify=notify,
-        max_queued=max_queued,
-        max_queued_per_tenant=max_queued_per_tenant,
-        rates=dict(rates or {}), default_rate=default_rate,
-        brownout_high=brownout_high, brownout_low=brownout_low,
-        hedge_quantile=hedge_quantile, peers=list(peers or [])))
-    if store_urls and notify is not None:
+        cache_dir=cache_dir, tracer=tracer, notify=notify, **config))
+    if service.config.store_urls and notify is not None:
         urls = list(getattr(service.store, "urls", []) or [])
         notify(f"store: {len(urls)} shard(s): {', '.join(urls)}")
     interrupted = service.interrupted_sessions()
@@ -579,9 +453,10 @@ def serve(cache_dir: str, host: str = "127.0.0.1", port: int = 0,
     daemon = ServeDaemon(service, host=host, port=port, tokens=tokens,
                          max_connections=max_connections,
                          frame_timeout=frame_timeout)
-
-    async def _main() -> None:
-        bound_host, bound_port = await daemon.start()
+    previous = {}
+    try:
+        daemon.start()
+        bound_host, bound_port = daemon.address
         if notify is not None:
             auth = f", {len(daemon.tokens)} tenant token(s)" \
                 if daemon.tokens else ""
@@ -589,24 +464,24 @@ def serve(cache_dir: str, host: str = "127.0.0.1", port: int = 0,
                    f"(state: {cache_dir}, pid {os.getpid()}{auth})")
         if ready is not None:
             ready(bound_host, bound_port)
-        loop = asyncio.get_running_loop()
-        # SIGTERM = the rolling-restart signal: drain, don't drop.
-        # SIGINT (^C at a terminal) keeps the immediate stop.
-        for sig, action in ((signal.SIGTERM, daemon.request_drain),
-                            (signal.SIGINT, daemon.request_stop)):
-            try:
-                loop.add_signal_handler(sig, action)
-            except (NotImplementedError, RuntimeError):
-                pass                       # non-main thread / platform
-        await daemon.serve_until_stopped()
-
-    try:
-        asyncio.run(_main())
+        if threading.current_thread() is threading.main_thread():
+            # SIGTERM = the rolling-restart signal: drain, don't drop.
+            # SIGINT (^C at a terminal) stops at once, through the
+            # KeyboardInterrupt caught below.
+            previous = {
+                signal.SIGTERM: signal.signal(
+                    signal.SIGTERM, lambda *_: daemon.request_drain()),
+                signal.SIGINT: signal.signal(
+                    signal.SIGINT, signal.default_int_handler)}
+        daemon.serve_until_stopped()
     except KeyboardInterrupt:
         pass
     finally:
+        for sig, handler in previous.items():
+            signal.signal(sig, handler)
+        daemon.stop()
         service.close()
-        if tracer is not None and trace:
+        if tracer is not None:
             tracer.write_chrome_trace(trace)
             if notify is not None:
                 notify(f"wrote server trace {trace} "

@@ -16,6 +16,10 @@ garbage length prefix raises :class:`~repro.errors.FrameError`, and a
 socket timeout raises :class:`~repro.errors.TransportError` naming the
 operation that timed out.  Nothing in this module retries — retry
 budgets, backoff and hedging live in the client, where the policy is.
+
+The store shards and the ``pld serve`` daemon run the same
+:class:`~repro.store.remote.server.FrameServer` loop over these two
+functions, and their clients call them directly.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ from __future__ import annotations
 import json
 import socket
 import struct
-from typing import Any, Dict, Tuple
+import time
+from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import FrameError, TransportError
 
@@ -36,12 +41,16 @@ _HEADER_LEN = struct.Struct(">I")
 _PAYLOAD_LEN = struct.Struct(">Q")
 
 
-def _recv_exact(sock: socket.socket, n: int, what: str) -> bytes:
-    """Read exactly ``n`` bytes or raise a structured error."""
+def _recv_exact(sock: socket.socket, n: int, what: str,
+                deadline: Optional[float] = None) -> bytes:
+    """Read exactly ``n`` bytes or raise a structured error; with a
+    ``deadline`` (``time.monotonic()``) the reads must finish by then."""
     chunks = []
     remaining = n
     while remaining:
         try:
+            if deadline is not None:
+                sock.settimeout(max(1e-6, deadline - time.monotonic()))
             chunk = sock.recv(min(remaining, 1 << 16))
         except socket.timeout as exc:
             raise TransportError(
@@ -59,33 +68,16 @@ def _recv_exact(sock: socket.socket, n: int, what: str) -> bytes:
     return b"".join(chunks)
 
 
-def encode_frame(header: Dict[str, Any], payload: bytes = b"") -> bytes:
-    """Serialize one frame to bytes (shared by sync and async I/O)."""
+def send_frame(sock: socket.socket, header: Dict[str, Any],
+               payload: bytes = b"") -> None:
+    """Serialize and send one frame (a single ``sendall``)."""
     head = json.dumps(header, sort_keys=True).encode()
     if len(head) > MAX_HEADER_BYTES:
         raise FrameError(f"header too large ({len(head)} bytes)")
     if len(payload) > MAX_PAYLOAD_BYTES:
         raise FrameError(f"payload too large ({len(payload)} bytes)")
-    return (_HEADER_LEN.pack(len(head)) + head
-            + _PAYLOAD_LEN.pack(len(payload)) + payload)
-
-
-def decode_header(head: bytes) -> Dict[str, Any]:
-    """Parse and validate frame-header bytes (shared sync/async)."""
-    try:
-        header = json.loads(head.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FrameError(f"corrupt frame header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise FrameError(
-            f"frame header is {type(header).__name__}, expected object")
-    return header
-
-
-def send_frame(sock: socket.socket, header: Dict[str, Any],
-               payload: bytes = b"") -> None:
-    """Serialize and send one frame (a single ``sendall``)."""
-    frame = encode_frame(header, payload)
+    frame = (_HEADER_LEN.pack(len(head)) + head
+             + _PAYLOAD_LEN.pack(len(payload)) + payload)
     try:
         sock.sendall(frame)
     except socket.timeout as exc:
@@ -95,108 +87,43 @@ def send_frame(sock: socket.socket, header: Dict[str, Any],
                              f"{exc}") from exc
 
 
-def recv_frame(sock: socket.socket) -> Tuple[Dict[str, Any], bytes]:
+def recv_frame(sock: socket.socket,
+               frame_timeout: Optional[float] = None
+               ) -> Tuple[Dict[str, Any], bytes]:
     """Receive one frame; returns ``(header, payload)``.
 
     Raises :class:`~repro.errors.FrameError` on anything malformed and
     :class:`~repro.errors.TransportError` on timeouts/resets.  A clean
     EOF *before any byte* of a frame raises :class:`FrameError` too —
     callers that treat connection close as normal (the server's
-    per-connection loop) catch it and check :func:`at_eof` semantics
-    via the byte counts in the message.
+    per-connection loop) catch it.
+
+    ``frame_timeout`` (seconds) is a server's slow-loris guard: once
+    the 4-byte header length arrives, the rest of the frame must follow
+    within it.  The wait for the length itself is left to the socket's
+    own timeout (a server's is unbounded: an idle keep-alive connection
+    between requests is normal, a peer that starts a frame and then
+    trickles it is not).
     """
     raw = _recv_exact(sock, _HEADER_LEN.size, "header length")
+    deadline = None if frame_timeout is None \
+        else time.monotonic() + frame_timeout
     (head_len,) = _HEADER_LEN.unpack(raw)
     if head_len > MAX_HEADER_BYTES:
         raise FrameError(f"header length {head_len} exceeds "
                          f"{MAX_HEADER_BYTES}")
-    head = _recv_exact(sock, head_len, "header")
-    header = decode_header(head)
-    raw = _recv_exact(sock, _PAYLOAD_LEN.size, "payload length")
+    head = _recv_exact(sock, head_len, "header", deadline)
+    try:
+        header = json.loads(head.decode())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FrameError(f"corrupt frame header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise FrameError(
+            f"frame header is {type(header).__name__}, expected object")
+    raw = _recv_exact(sock, _PAYLOAD_LEN.size, "payload length", deadline)
     (payload_len,) = _PAYLOAD_LEN.unpack(raw)
     if payload_len > MAX_PAYLOAD_BYTES:
         raise FrameError(f"payload length {payload_len} exceeds "
                          f"{MAX_PAYLOAD_BYTES}")
-    payload = _recv_exact(sock, payload_len, "payload")
+    payload = _recv_exact(sock, payload_len, "payload", deadline)
     return header, payload
-
-
-# -- asyncio transport (the pld serve daemon) --------------------------------
-#
-# Byte-for-byte the same frames over an asyncio StreamReader/Writer, so
-# the daemon shares this wire format with the shard fleet.  asyncio's
-# IncompleteReadError is an EOFError subclass, so nothing here needs to
-# import asyncio.
-
-async def recv_frame_async(reader, frame_timeout=None
-                           ) -> Tuple[Dict[str, Any], bytes]:
-    """Receive one frame from an ``asyncio.StreamReader``.
-
-    ``frame_timeout`` (seconds) bounds how long the *remainder* of a
-    frame may take once its first bytes arrive — the slow-loris guard.
-    The initial wait for the 4-byte header length is deliberately
-    unbounded: an idle keep-alive connection between requests is
-    normal, a peer that starts a frame and then trickles it is not.
-    Expiry raises :class:`~repro.errors.TransportError`.
-    """
-    import asyncio
-
-    async def _read(n: int, first: bool = False) -> bytes:
-        coro = reader.readexactly(n)
-        if frame_timeout is None or first:
-            return await coro
-        try:
-            return await asyncio.wait_for(coro, frame_timeout)
-        except asyncio.TimeoutError as exc:
-            raise TransportError(
-                f"frame read exceeded {frame_timeout:g}s "
-                f"(slow peer)") from exc
-
-    try:
-        raw = await _read(_HEADER_LEN.size, first=True)
-        (head_len,) = _HEADER_LEN.unpack(raw)
-        if head_len > MAX_HEADER_BYTES:
-            raise FrameError(f"header length {head_len} exceeds "
-                             f"{MAX_HEADER_BYTES}")
-        head = await _read(head_len)
-        header = decode_header(head)
-        raw = await _read(_PAYLOAD_LEN.size)
-        (payload_len,) = _PAYLOAD_LEN.unpack(raw)
-        if payload_len > MAX_PAYLOAD_BYTES:
-            raise FrameError(f"payload length {payload_len} exceeds "
-                             f"{MAX_PAYLOAD_BYTES}")
-        payload = await _read(payload_len)
-    except EOFError as exc:              # IncompleteReadError
-        raise FrameError(f"peer half-closed mid-frame: {exc}") from exc
-    except (ConnectionError, OSError) as exc:
-        raise TransportError(f"connection error reading frame: "
-                             f"{exc}") from exc
-    return header, payload
-
-
-async def send_frame_async(writer, header: Dict[str, Any],
-                           payload: bytes = b"",
-                           timeout=None) -> None:
-    """Send one frame over an ``asyncio.StreamWriter``.
-
-    ``timeout`` bounds the drain (a peer that stops reading cannot pin
-    the handler on a full send buffer); expiry raises
-    :class:`~repro.errors.TransportError`.
-    """
-    import asyncio
-
-    frame = encode_frame(header, payload)
-    try:
-        writer.write(frame)
-        if timeout is None:
-            await writer.drain()
-        else:
-            try:
-                await asyncio.wait_for(writer.drain(), timeout)
-            except asyncio.TimeoutError as exc:
-                raise TransportError(
-                    f"frame write exceeded {timeout:g}s "
-                    f"(peer not reading)") from exc
-    except (ConnectionError, OSError) as exc:
-        raise TransportError(f"connection error sending frame: "
-                             f"{exc}") from exc

@@ -7,6 +7,8 @@ leased-session resume from the journal, and resource lifecycle
 """
 
 import json
+import multiprocessing
+import os
 import pathlib
 import threading
 import time
@@ -265,6 +267,51 @@ class TestSessionLeases:
         restarted = CompileService(ServiceConfig(cache_dir=str(tmp_path)))
         assert restarted.interrupted_sessions() == []
         restarted.close()
+
+
+# --------------------------------------------------------------------------
+# the shared worker pool
+# --------------------------------------------------------------------------
+
+# Step functions must be module-level so they pickle into the workers.
+
+def _crash_in_worker(x):
+    """Dies hard in a worker process; succeeds when retried in-parent."""
+    if multiprocessing.parent_process() is not None:
+        os._exit(1)
+    return x + 1
+
+
+def _pid(_x):
+    return os.getpid()
+
+
+class TestSharedPool:
+    def test_pool_replaced_after_worker_crash(self):
+        """A worker crash breaks the pool the service lends; the
+        service replaces it, so every later batch (here the next
+        engine's two) runs on live workers, not in-process, and no
+        engine starts a private pool."""
+        from repro.core import BatchStep
+
+        with CompileService(ServiceConfig(workers=2)) as service:
+            first = service.build_engine()
+            crashes = [BatchStep(f"crash:{i}", (i,), _crash_in_worker, (i,))
+                       for i in range(3)]
+            assert first.step_batch(crashes) == [1, 2, 3]
+            assert first.worker_retries >= 1
+            first.close()
+
+            second = service.build_engine()
+            for batch in range(2):
+                steps = [BatchStep(f"pid:{batch}:{i}", (batch, i), _pid,
+                                   (i,)) for i in range(4)]
+                pids = second.step_batch(steps)
+                assert os.getpid() not in pids, \
+                    f"batch {batch} ran in the parent"
+                assert second.worker_retries == 0
+                assert second._pool is service._pool
+            second.close()
 
 
 # --------------------------------------------------------------------------

@@ -1,16 +1,15 @@
 """End-to-end tests for the ``pld serve`` daemon and its client.
 
 Two layers: an in-process daemon (``serve`` in a thread, real TCP
-sockets, real wire frames) for the protocol tests, and a genuine
-subprocess daemon for the crash contract — SIGKILL mid-build, restart
-over the same state directory, resume from the session journal,
-bit-identical manifest.  The subprocess test is the same scenario the
-CI serve-smoke job runs.
+sockets, real wire frames) for the protocol tests and the CLI client
+verbs, and a genuine subprocess daemon for the crash contract —
+SIGKILL mid-build, restart over the same state directory, resume from
+the session journal, bit-identical manifest.
 """
 
-import asyncio
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -24,7 +23,8 @@ from repro.errors import ServiceError, TransportError
 from repro.service import ServiceClient
 from repro.service.core import (CompileService, RequestOutcome,
                                 ServiceConfig)
-from repro.service.daemon import ServeDaemon, serve
+from repro.service.daemon import (DISCONNECT_POLL_SECONDS, ServeDaemon,
+                                  serve)
 from repro.store import ArtifactStore
 from repro.store.remote import StoreServer
 
@@ -79,15 +79,20 @@ class TestProtocol:
         assert daemon.status(ticket)["state"] == "done"
 
     def test_two_tenants_dedup_and_identical_manifests(self, daemon):
-        _, first = daemon.compile(APP, effort=EFFORT, tenant="alice",
-                                  timeout=120)
-        summary, second = daemon.compile(APP, effort=EFFORT,
-                                         tenant="bob", timeout=120)
+        # alice and bob build concurrently and must agree bit for bit;
+        # carol arrives once the store is warm and gets every
+        # implementation step as a store hit.
+        alice = daemon.submit(APP, effort=EFFORT, tenant="alice")
+        bob = daemon.submit(APP, effort=EFFORT, tenant="bob")
+        _, first = daemon.result(alice, timeout=120)
+        _, second = daemon.result(bob, timeout=120)
         assert second == first          # bit-identical across tenants
-        dedup = summary["dedup"]
-        assert dedup["impl_ratio"] >= 0.9
+        summary, third = daemon.compile(APP, effort=EFFORT,
+                                        tenant="carol", timeout=120)
+        assert third == first
+        assert summary["dedup"]["impl_ratio"] == 1.0
         stats = daemon.stats()
-        assert set(stats["tenants"]) >= {"alice", "bob"}
+        assert set(stats["tenants"]) >= {"alice", "bob", "carol"}
 
     def test_unknown_op_is_bad_request(self, daemon):
         with pytest.raises(ServiceError, match="unknown op"):
@@ -170,11 +175,13 @@ class TestHostileFrames:
 
 
 class TestEventLoopOffload:
-    """Satellite bugfix: ``submit``/``status``/``stats`` run off-loop.
+    """A stalled service call holds only its own connection.
 
-    Pre-fix they called the service synchronously on the event loop —
-    submit takes service locks and writes lease/journal files, so one
-    slow disk stalled every connection, including ``ping``.
+    ``submit`` takes service locks and writes lease/journal files, so a
+    slow disk can stall it; each connection runs on its own thread, so
+    that stall must not delay ``ping`` on another connection.  (The
+    name is from the asyncio daemon, whose fix moved such calls off the
+    event loop.)
     """
 
     def test_blocked_submit_does_not_stall_ping(self, daemon,
@@ -204,7 +211,7 @@ class TestEventLoopOffload:
             thread.join(timeout=30)
             assert elapsed < 1.0, (
                 f"ping took {elapsed:.2f}s behind a stalled submit — "
-                f"the handler is back on the event loop")
+                f"connections no longer run independently")
         finally:
             release.set()
             submitter.close()
@@ -215,89 +222,49 @@ class TestEventLoopOffload:
 
 def _start_daemon(service, tokens=None, reconcile_interval=0.0,
                   **daemon_kwargs):
-    """Run a :class:`ServeDaemon` over *service* on a thread's loop."""
-    holder = {}
-    ready = threading.Event()
-
-    def target():
-        async def main():
-            daemon = ServeDaemon(service, tokens=tokens,
-                                 reconcile_interval=reconcile_interval,
-                                 **daemon_kwargs)
-            holder["daemon"] = daemon
-            holder["loop"] = asyncio.get_running_loop()
-            holder["addr"] = await daemon.start()
-            ready.set()
-            await daemon.serve_until_stopped()
-        asyncio.run(main())
-
-    thread = threading.Thread(target=target, daemon=True)
+    """Run a :class:`ServeDaemon` over *service* until
+    :func:`_stop_daemon` or a ``shutdown`` op."""
+    daemon = ServeDaemon(service, tokens=tokens,
+                         reconcile_interval=reconcile_interval,
+                         **daemon_kwargs).start()
+    thread = threading.Thread(target=daemon.serve_until_stopped,
+                              daemon=True)
     thread.start()
-    assert ready.wait(timeout=30), "daemon never bound its socket"
-    holder["thread"] = thread
-    return holder
+    return {"daemon": daemon, "addr": daemon.address, "thread": thread}
 
 
 def _stop_daemon(holder):
-    try:
-        holder["loop"].call_soon_threadsafe(
-            holder["daemon"].request_stop)
-    except RuntimeError:
-        pass                              # loop already gone
+    holder["daemon"].request_stop()
     holder["thread"].join(timeout=30)
     assert not holder["thread"].is_alive()
 
 
 class _TicketBoard:
     """A minimal CompileService stand-in whose tickets complete only
-    when the test says so — makes waiter-vs-executor behaviour
-    observable and deterministic."""
+    when the test says so — makes waiter behaviour observable and
+    deterministic."""
 
     def __init__(self, count):
-        self._lock = threading.Lock()
-        self._entries = {
-            f"t{i:04d}": {"done": False, "callbacks": []}
-            for i in range(count)}
+        self._done = {f"t{i:04d}": threading.Event()
+                      for i in range(count)}
         self.store = None
 
     @property
     def tickets(self):
-        return sorted(self._entries)
+        return sorted(self._done)
 
-    def add_done_callback(self, ticket, fn):
-        with self._lock:
-            entry = self._entries[ticket]
-            if not entry["done"]:
-                entry["callbacks"].append(fn)
-                return
-        fn(None)
+    def wait(self, ticket, timeout=None):
+        return self._done[ticket].wait(timeout)
 
     def complete(self, ticket):
-        with self._lock:
-            entry = self._entries[ticket]
-            entry["done"] = True
-            callbacks, entry["callbacks"] = entry["callbacks"], []
-        for fn in callbacks:
-            fn(None)
-
-    def remove_done_callback(self, ticket, fn):
-        with self._lock:
-            try:
-                self._entries[ticket]["callbacks"].remove(fn)
-                return True
-            except (KeyError, ValueError):
-                return False
-
-    def callbacks(self, ticket):
-        with self._lock:
-            return list(self._entries[ticket]["callbacks"])
+        self._done[ticket].set()
 
     def result(self, ticket, timeout=None):
-        assert self._entries[ticket]["done"]
+        assert self._done[ticket].is_set()
         return RequestOutcome(ticket=ticket, kind="compile")
 
     def status(self, ticket):
-        done = self._entries[ticket]["done"]
+        done = self._done[ticket].is_set()
         return {"state": "done" if done else "queued", "position": 0}
 
     def stats(self):
@@ -310,13 +277,12 @@ WAITERS = 72
 class TestResultWaiterScaling:
     """Acceptance: ≥64 concurrent ``result`` waiters on one daemon.
 
-    Pre-fix, every waiter parked one default-executor thread inside
-    ``service.result()``; the executor caps at ``min(32, cpus + 4)``
-    threads, so waiter #33+ was not waiting on its ticket at all — it
-    was queued behind an executor slot held by another waiter, which
-    deadlocks whenever early tickets finish last.  Post-fix a waiter
-    costs one ``asyncio.Event`` (this test's registration poll watches
-    ``daemon.waiters`` reach 72, which the executor could never do).
+    The asyncio daemon once parked every waiter on one default-executor
+    thread; the executor caps at ``min(32, cpus + 4)`` threads, so
+    waiter #33+ queued behind a slot held by another waiter, which
+    deadlocks whenever early tickets finish last.  Each waiter now
+    waits on its own connection's thread, so all 72 must register
+    (``daemon.waiters``) and complete in any order.
     """
 
     def test_72_concurrent_waiters_complete(self):
@@ -347,15 +313,9 @@ class TestResultWaiterScaling:
             while daemon.waiters < WAITERS:
                 assert time.monotonic() < deadline, (
                     f"only {daemon.waiters}/{WAITERS} waiters "
-                    f"registered — result is parking threads again")
+                    f"registered — waiters are queued behind each "
+                    f"other again")
                 time.sleep(0.01)
-            # Every waiter is parked, yet the loop's executor is idle:
-            # no thread-per-waiter.
-            executor_threads = [t for t in threading.enumerate()
-                                if t.name.startswith("asyncio_")]
-            assert len(executor_threads) < 10, (
-                f"{len(executor_threads)} executor threads while all "
-                f"waiters should cost only asyncio events")
             # Finish in *reverse* arrival order — the ordering that
             # starved under the thread-per-waiter scheme.
             for ticket in reversed(board.tickets):
@@ -526,15 +486,17 @@ class TestFleetDaemon:
 
 
 class TestDisconnectWaiterCleanup:
-    """Satellite bugfix: a ``result`` waiter whose connection drops
-    before the ticket finishes must unregister its done-callback.
+    """A ``result`` waiter whose connection drops before the ticket
+    finishes must free its thread and connection.
 
-    Pre-fix the callback stayed registered forever (the waiter's
-    asyncio task also hung on the dead socket), so a flaky client that
-    reconnected and re-waited leaked one callback + task per attempt.
+    Before the fix a waiter stayed registered until its ticket
+    finished, so a flaky client that reconnected and re-waited leaked
+    one waiter per attempt.  The waiter polls for a hang-up every
+    ``DISCONNECT_POLL_SECONDS``; bytes of a pipelined next request are
+    not one.
     """
 
-    def test_disconnect_unregisters_done_callback(self):
+    def test_disconnect_frees_the_waiter(self):
         import socket as socketlib
 
         from repro.store.remote.framing import send_frame
@@ -548,21 +510,48 @@ class TestDisconnectWaiterCleanup:
             send_frame(sock, {"op": "result", "ticket": "t0000",
                               "timeout": 60})
             deadline = time.monotonic() + 10
-            while not board.callbacks("t0000"):
+            while daemon.waiters < 1:
                 assert time.monotonic() < deadline, \
-                    "waiter never registered its callback"
+                    "waiter never parked"
                 time.sleep(0.01)
-            assert daemon.waiters == 1
+            assert daemon.active_connections == 1
             sock.close()                   # hang up mid-wait
             deadline = time.monotonic() + 10
-            while board.callbacks("t0000") or daemon.waiters:
+            while daemon.waiters or daemon.active_connections:
                 assert time.monotonic() < deadline, (
-                    f"disconnect leaked: callbacks="
-                    f"{board.callbacks('t0000')} "
-                    f"waiters={daemon.waiters}")
+                    f"disconnect leaked: waiters={daemon.waiters} "
+                    f"connections={daemon.active_connections}")
                 time.sleep(0.02)
-            # Completing later fires into an empty callback list.
+            # Completing later answers nobody.
             board.complete("t0000")
+        finally:
+            _stop_daemon(holder)
+
+    def test_pipelined_request_is_not_a_hang_up(self):
+        import socket as socketlib
+
+        from repro.store.remote.framing import recv_frame, send_frame
+
+        board = _TicketBoard(1)
+        holder = _start_daemon(board)
+        host, port = holder["addr"]
+        daemon = holder["daemon"]
+        try:
+            sock = socketlib.create_connection((host, port), timeout=10)
+            send_frame(sock, {"op": "result", "ticket": "t0000"})
+            send_frame(sock, {"op": "ping"})     # sent before the reply
+            deadline = time.monotonic() + 10
+            while daemon.waiters < 1:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            time.sleep(3 * DISCONNECT_POLL_SECONDS)   # several polls
+            assert daemon.waiters == 1
+            board.complete("t0000")
+            first, _ = recv_frame(sock)
+            second, _ = recv_frame(sock)
+            assert first["ticket"] == "t0000"
+            assert second["ok"] and second["pid"] == os.getpid()
+            sock.close()
         finally:
             _stop_daemon(holder)
 
@@ -798,8 +787,75 @@ class TestHealthAndDrain:
             assert not thread.is_alive()
 
 
+class TestCliVerbs:
+    """The ``pld submit/status/result/health/drain`` client verbs
+    against an in-process daemon."""
+
+    def test_client_verbs(self, tmp_path, capsys):
+        from repro.cli import main
+
+        client, thread = _serve_thread(tmp_path / "state", slots=1,
+                                       tokens={"alice": SECRET})
+        server = ["--server", f"{client.host}:{client.port}"]
+        try:
+            assert main(["submit", APP, "--effort", str(EFFORT),
+                         "--tenant", "alice", "--token", SECRET,
+                         *server]) == 0
+            ticket = capsys.readouterr().out.split()[-1]
+            assert ticket.startswith("t")
+
+            assert main(["status", ticket, *server]) == 0
+            out = capsys.readouterr().out
+            assert re.match(rf"{ticket}: (queued|running|done) ", out), out
+
+            manifest = tmp_path / "manifest.json"
+            assert main(["result", ticket, "--manifest", str(manifest),
+                         *server]) == 0
+            assert f"wrote build manifest {manifest}" \
+                in capsys.readouterr().out
+            _, expected = client.result(ticket, timeout=120)
+            assert manifest.read_bytes() == expected
+
+            assert main(["health", *server]) == 0
+            assert "ready=True" in capsys.readouterr().out
+
+            assert main(["submit", APP, "--tenant", "alice",
+                         "--token", "wrong", *server]) == 2
+            assert "bad or missing token" in capsys.readouterr().err
+
+            assert main(["drain", *server]) == 0
+            assert capsys.readouterr().out.startswith("draining")
+        finally:
+            client.close()
+        thread.join(timeout=60)            # drains to empty, exits
+        assert not thread.is_alive()
+
+
+class TestServerTrace:
+    def test_shutdown_writes_chrome_trace(self, tmp_path):
+        trace = tmp_path / "serve-trace.json"
+        lines = []
+        client, thread = _serve_thread(tmp_path / "state",
+                                       trace=str(trace),
+                                       notify=lines.append)
+        try:
+            summary, _ = client.compile(APP, effort=EFFORT,
+                                        tenant="alice", timeout=120)
+            assert summary["ok"]
+            assert client.shutdown()["stopping"]
+        finally:
+            client.close()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        events = json.loads(trace.read_text())["traceEvents"]
+        assert any(e.get("ph") == "X" for e in events), "no spans"
+        assert any(line.startswith(f"wrote server trace {trace}")
+                   for line in lines)
+
+
 def _spawn_daemon(state_dir, *extra):
-    """Start ``pld serve`` as a real subprocess; returns (proc, port)."""
+    """Start ``pld serve`` as a real subprocess; returns (proc, port,
+    the output it printed up to its listening line)."""
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     proc = subprocess.Popen(
         [sys.executable, "-u", "-m", "repro.cli", "serve",
@@ -808,10 +864,12 @@ def _spawn_daemon(state_dir, *extra):
         stderr=subprocess.STDOUT, text=True)
     deadline = time.monotonic() + 60
     port = None
+    banner = []
     while time.monotonic() < deadline:
         line = proc.stdout.readline()
         if not line:
             break
+        banner.append(line)
         if "listening on" in line:
             port = int(line.split("listening on ")[1]
                        .split()[0].rsplit(":", 1)[1])
@@ -819,7 +877,7 @@ def _spawn_daemon(state_dir, *extra):
     if port is None:
         proc.kill()
         raise RuntimeError("daemon subprocess never reported its port")
-    return proc, port
+    return proc, port, "".join(banner)
 
 
 @pytest.mark.slow
@@ -829,7 +887,7 @@ class TestCrashResume:
 
         # Reference: the same session compiled on a never-crashed
         # daemon in a separate state directory.
-        proc, port = _spawn_daemon(tmp_path / "clean")
+        proc, port, _ = _spawn_daemon(tmp_path / "clean")
         try:
             client = ServiceClient("127.0.0.1", port, timeout=120.0)
             _, reference = client.compile(
@@ -841,7 +899,7 @@ class TestCrashResume:
 
         # Round 1: the hidden crash_at_step field makes the engine
         # SIGKILL its own process mid-build — no cleanup, no atexit.
-        proc, port = _spawn_daemon(state)
+        proc, port, _ = _spawn_daemon(state)
         client = ServiceClient("127.0.0.1", port, timeout=120.0)
         ticket = client.submit(APP, effort=EFFORT, session="dev",
                                crash_at_step=3)
@@ -861,8 +919,9 @@ class TestCrashResume:
         # Round 2: restart over the same state directory; the daemon
         # reports the interrupted session and the resubmit resumes
         # from the journal to a bit-identical manifest.
-        proc, port = _spawn_daemon(state)
+        proc, port, banner = _spawn_daemon(state)
         try:
+            assert "found 1 interrupted session(s): dev" in banner, banner
             client = ServiceClient("127.0.0.1", port, timeout=120.0)
             summary, manifest = client.compile(
                 APP, effort=EFFORT, session="dev", timeout=120)
@@ -922,7 +981,7 @@ class TestCrossDaemonMigration:
             # cold, so daemon A's build below actually executes steps
             # (a warm fleet would serve every step from the store and
             # the crash plan would never fire).
-            proc, port = _spawn_daemon(tmp_path / "clean")
+            proc, port, _ = _spawn_daemon(tmp_path / "clean")
             try:
                 client = ServiceClient("127.0.0.1", port, timeout=120.0)
                 _, reference = client.compile(
@@ -934,7 +993,7 @@ class TestCrossDaemonMigration:
 
             # Daemon A: SIGKILL itself mid-build via the hidden
             # crash_at_step submit field.
-            proc, port = _spawn_daemon(tmp_path / "a", *store_arg)
+            proc, port, _ = _spawn_daemon(tmp_path / "a", *store_arg)
             client = ServiceClient("127.0.0.1", port, timeout=120.0)
             ticket = client.submit(APP, effort=EFFORT, session="dev",
                                    crash_at_step=3)
@@ -947,7 +1006,7 @@ class TestCrossDaemonMigration:
             # fleet.  The published lease + journal let it adopt the
             # interrupted session and resume to a bit-identical
             # manifest.
-            proc, port = _spawn_daemon(tmp_path / "b", *store_arg)
+            proc, port, _ = _spawn_daemon(tmp_path / "b", *store_arg)
             try:
                 client = ServiceClient("127.0.0.1", port, timeout=120.0)
                 summary, manifest = client.compile(
@@ -983,7 +1042,7 @@ class TestSigtermDrain:
 
             # Bit-identity baseline on a storeless daemon (keeps the
             # fleet cold so daemon A's build actually runs steps).
-            proc, port = _spawn_daemon(tmp_path / "clean")
+            proc, port, _ = _spawn_daemon(tmp_path / "clean")
             try:
                 client = ServiceClient("127.0.0.1", port, timeout=120.0)
                 _, reference = client.compile(
@@ -994,7 +1053,7 @@ class TestSigtermDrain:
                 _reap_daemon(proc)
 
             # Daemon A: SIGTERM lands while the build is running.
-            proc, port = _spawn_daemon(tmp_path / "a", *store_arg)
+            proc, port, _ = _spawn_daemon(tmp_path / "a", *store_arg)
             client = ServiceClient("127.0.0.1", port, timeout=120.0)
             ticket = client.submit(APP, effort=EFFORT, session="dev")
             deadline = time.monotonic() + 60
@@ -1024,7 +1083,7 @@ class TestSigtermDrain:
 
             # Daemon B over the same fleet adopts the released session
             # and completes it bit-identically.
-            proc, port = _spawn_daemon(tmp_path / "b", *store_arg)
+            proc, port, _ = _spawn_daemon(tmp_path / "b", *store_arg)
             try:
                 client = ServiceClient("127.0.0.1", port, timeout=120.0)
                 summary, adopted = client.compile(
