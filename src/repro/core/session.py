@@ -25,11 +25,10 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.errors import FlowError
 from repro.core.build import BuildEngine
-from repro.core.cluster import CompileCluster
 from repro.core.flows import FlowBuild, O1Flow, diff_manifests
 from repro.core.project import Project
 from repro.hls.ir import OperatorSpec, VarDecl
@@ -77,17 +76,12 @@ class IncrementalSession:
             keeps the session warm only within this process.
         store: an existing store to share (overrides ``cache_dir``).
             It stays its caller's: :meth:`close` leaves it open.
-        flow: the -O1 flow to compile with (default configuration when
-            omitted); the session reuses one engine across compiles so
-            the flow's record reflects incremental work.
-        effort / seed: forwarded to a default-constructed flow.
+        effort / seed: the -O1 flow's; the session reuses one engine
+            across compiles so the flow's record reflects incremental
+            work.
         resume: replay the store's build journal from an interrupted
             invocation — completed steps become ``resume-skip`` cache
             hits; requires a disk-backed store (``cache_dir``).
-        deadline: an optional :class:`repro.resilience.Deadline`
-            bounding each compile; expiry raises
-            :class:`repro.errors.DeadlineExceeded` while every finished
-            artefact stays banked in the store.
         journal_dir: where the build journal lives (defaults to the
             store's ``cache_dir``).  The compile service gives every
             leased session its own journal directory while all sessions
@@ -97,13 +91,14 @@ class IncrementalSession:
             to the session (the compile service passes one over its
             store that borrows its worker pool); the session attaches
             its journal to it and closes it.  Default: a private serial
-            engine over the store.
+            engine over the store.  A deadline set on the engine
+            (``engine.deadline``) bounds each compile; expiry raises
+            :class:`repro.errors.DeadlineExceeded` while every finished
+            artefact stays banked in the store.
     """
 
-    def __init__(self, cache_dir=None, store=None,
-                 flow: Optional[O1Flow] = None, effort: float = 1.0,
-                 seed: int = 1, cluster: Optional[CompileCluster] = None,
-                 tracer=None, resume: bool = False, deadline=None,
+    def __init__(self, cache_dir=None, store=None, effort: float = 1.0,
+                 seed: int = 1, tracer=None, resume: bool = False,
                  journal_dir=None, engine: Optional[BuildEngine] = None):
         # Imported here, not at module top: repro.store itself imports
         # repro.core.build, and this module is pulled in by the
@@ -128,16 +123,12 @@ class IncrementalSession:
         if engine is not None:
             self.engine = engine
             self.engine.journal = self.journal
-            if deadline is not None:
-                self.engine.deadline = deadline
         else:
             self.engine = BuildEngine(cache=self.store,
                                       tracer=self.tracer,
                                       journal=self.journal,
-                                      deadline=deadline,
                                       owns_cache=store is None)
-        self.flow = flow if flow is not None \
-            else O1Flow(effort=effort, seed=seed, cluster=cluster)
+        self.flow = O1Flow(effort=effort, seed=seed)
         self.project: Optional[Project] = None
         self.build: Optional[FlowBuild] = None
         self.history: List[EditResult] = []
@@ -245,12 +236,6 @@ class IncrementalSession:
             result = self.history[-1]
         return host.apply_delta(result.build, result.pages_reloaded,
                                 result.delta_packets)
-
-    def stats(self) -> Dict[str, object]:
-        """Store counters plus session history length."""
-        out = dict(self.store.stats())
-        out["edits"] = len(self.history)
-        return out
 
     def close(self) -> None:
         """Release what the session opened: one last reconcile of a

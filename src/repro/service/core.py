@@ -17,7 +17,8 @@ over the same layer:
   ``lease.json``.  A killed daemon restarts, finds the lease with an
   interrupted journal, and the next compile into that session resumes
   bit-identically (content keys make correctness; the journal makes
-  the bookkeeping).
+  the bookkeeping).  The lease protocol (claim, publish, adopt, fence,
+  release) is :class:`~repro.service.lease.SessionLeases`.
 * **Cross-tenant dedup** — every session and request shares one
   content-addressed store, so two tenants compiling the same operator
   pay once; the second request's steps are store hits, reported as a
@@ -32,31 +33,29 @@ over the same layer:
 
 from __future__ import annotations
 
-import json
 import os
-import pathlib
 import socket
 import threading
 import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.errors import ServiceError, StoreError
+from repro.errors import ServiceError
 from repro.core import BuildEngine, IncrementalSession, touch_spec
 from repro.core.build import WorkerPool
 from repro.core.flows import FLOWS
+from repro.resilience import Deadline
+from repro.service.lease import Lease, SessionLeases
 from repro.service.overload import AdmissionController
-from repro.service.scheduler import RequestScheduler
+from repro.service.scheduler import RequestScheduler, ScheduledRequest
 from repro.trace import NULL_TRACER
 
-#: Subdirectory of the state dir holding one directory per leased
-#: session (journal + lease file).
-SESSIONS_DIR = "sessions"
-#: Lease record inside a session directory.
-LEASE_NAME = "lease.json"
-#: Store-key prefix for published session metadata (lease + journal),
-#: the shared-plane record another daemon adopts a session from.
-SESSION_META_PREFIX = "session-meta:"
+#: Finished-ticket GC: evict tickets this many seconds after they
+#: finish, delivered or not.
+TICKET_TTL_SECONDS = 900.0
+#: Finished-ticket GC: hard cap on retained tickets (delivered results
+#: evict first; queued and running tickets never).
+MAX_TICKETS = 4096
 
 
 @dataclass
@@ -129,16 +128,15 @@ def dedup_summary(record) -> Dict[str, float]:
 class Ticket:
     """Internal per-request record (the public handle is its id)."""
 
-    def __init__(self, ticket_id: str, request: CompileRequest,
-                 sched_seq: int):
+    def __init__(self, ticket_id: str, request: CompileRequest):
         self.id = ticket_id
         self.request = request
-        self.sched_seq = sched_seq
+        #: The scheduler entry's seq, set once the ticket is queued.
+        self.sched_seq: Optional[int] = None
         self.state = "queued"        # queued|running|done|failed
         self.outcome: Optional[RequestOutcome] = None
         self.error: Optional[BaseException] = None
         self.done = threading.Event()
-        self.submitted = time.monotonic()
         self.started: Optional[float] = None
         self.finished: Optional[float] = None
         #: Set once result() handed the outcome to a caller — such
@@ -195,28 +193,15 @@ class ServiceConfig:
     hedge_quantile: Optional[float] = None
     #: Peer daemon addresses suggested to clients on drain rejections.
     peers: List[str] = field(default_factory=list)
-    #: Finished-ticket GC: evict tickets this long after they finish.
-    ticket_ttl: Optional[float] = 900.0
-    #: Finished-ticket GC: hard cap on retained tickets (delivered
-    #: results evict first, queued/running never).
-    max_tickets: Optional[int] = 4096
 
 
 class _SessionState:
     """A leased session held open by the service."""
 
-    def __init__(self, name: str, session: IncrementalSession,
-                 directory: pathlib.Path):
-        self.name = name
+    def __init__(self, session: IncrementalSession, lease: Lease):
         self.session = session
-        self.directory = directory
+        self.lease = lease
         self.lock = threading.Lock()
-        self.edits = 0
-        #: Fencing epoch: bumped past the published epoch every time a
-        #: daemon (re)opens the session, so exactly one daemon's writes
-        #: are current and a stale owner fences itself off.
-        self.epoch = 0
-        self.owner = ""
 
 
 class CompileService:
@@ -227,9 +212,22 @@ class CompileService:
             else ServiceConfig(**kwargs)
         self.tracer = self.config.tracer \
             if self.config.tracer is not None else NULL_TRACER
-        self.daemon_id = self.config.daemon_id or \
-            f"{socket.gethostname()}:{os.getpid()}"
-        self.store = self._build_store()
+        from repro.store import ArtifactStore
+        local = ArtifactStore(cache_dir=self.config.cache_dir)
+        #: The shard fleet's client (over ``local``), or None.
+        self.fleet = None
+        if self.config.store_urls:
+            from repro.store.remote import ShardedStoreClient
+            self.fleet = ShardedStoreClient(
+                self.config.store_urls, fallback=local,
+                hedge_quantile=self.config.hedge_quantile,
+                tracer=self.tracer)
+        #: The store all requests and sessions share (cross-tenant dedup).
+        self.store = self.fleet if self.fleet is not None else local
+        self.leases = SessionLeases(
+            self.config.cache_dir, self.fleet,
+            self.config.daemon_id
+            or f"{socket.gethostname()}:{os.getpid()}", self._notify)
         self.scheduler = RequestScheduler(
             total_workers=max(1, self.config.slots),
             default_quota=self.config.default_quota,
@@ -250,7 +248,6 @@ class CompileService:
         self._pool = WorkerPool(self.config.workers) \
             if (self.config.workers or 1) > 1 else None
         self._tickets: Dict[str, Ticket] = {}
-        self._by_seq: Dict[int, Ticket] = {}
         self._sessions: Dict[str, _SessionState] = {}
         self._lock = threading.Lock()
         self._wake = threading.Condition(self._lock)
@@ -268,20 +265,6 @@ class CompileService:
     def _notify(self, message: str) -> None:
         if self.config.notify is not None:
             self.config.notify(message)
-
-    def _build_store(self):
-        """The service-owned store: every request and session shares
-        it, which is where cross-tenant dedup comes from."""
-        from repro.store import ArtifactStore
-
-        if self.config.store_urls:
-            from repro.store.remote import ShardedStoreClient
-            fallback = ArtifactStore(cache_dir=self.config.cache_dir)
-            return ShardedStoreClient(
-                self.config.store_urls, fallback=fallback,
-                hedge_quantile=self.config.hedge_quantile,
-                tracer=self.tracer)
-        return ArtifactStore(cache_dir=self.config.cache_dir)
 
     def _engine(self, journal=None, deadline=None,
                 crash_plan=None) -> BuildEngine:
@@ -315,7 +298,6 @@ class CompileService:
                     f"already banked in {self.config.cache_dir}")
         deadline = None
         if req.deadline is not None:
-            from repro.resilience import Deadline
             deadline = Deadline(req.deadline)
         crash_plan = None
         if req.crash_at_step is not None:
@@ -350,141 +332,13 @@ class CompileService:
                                   tracer=self.tracer,
                                   engine=self._engine())
 
-    # -- session leases ------------------------------------------------------
-
-    def _sessions_root(self) -> Optional[pathlib.Path]:
-        if not self.config.cache_dir:
-            return None
-        return pathlib.Path(self.config.cache_dir) / SESSIONS_DIR
-
-    def _write_lease(self, directory: pathlib.Path,
-                     lease: Dict[str, Any]) -> None:
-        directory.mkdir(parents=True, exist_ok=True)
-        tmp = directory / (LEASE_NAME + ".tmp")
-        tmp.write_text(json.dumps(lease, sort_keys=True, indent=2))
-        os.replace(tmp, directory / LEASE_NAME)
-
-    def _read_lease(self, directory: pathlib.Path) -> Dict[str, Any]:
-        try:
-            return json.loads((directory / LEASE_NAME).read_text())
-        except (OSError, json.JSONDecodeError):
-            return {}
-
-    # -- shared-plane session metadata (cross-daemon migration) --------------
-
-    def _session_meta_key(self, name: str) -> str:
-        return SESSION_META_PREFIX + name
-
-    def _journal_text(self, directory: pathlib.Path) -> str:
-        from repro.resilience.journal import journal_path
-        try:
-            return journal_path(directory).read_text()
-        except OSError:
-            return ""
-
-    def _published_meta(self, name: str) -> Optional[Dict[str, Any]]:
-        """The session metadata another daemon last published to the
-        shard fleet, or None without a fleet / publication.  Read
-        remote-first (``fresh_get``): the local hot tier would shadow
-        a peer's newer epoch forever."""
-        if not hasattr(self.store, "fresh_get"):
-            return None
-        try:
-            meta = self.store.fresh_get(self._session_meta_key(name))
-        except StoreError:
-            return None
-        return meta if isinstance(meta, dict) else None
-
-    def _publish_session(self, state: _SessionState,
-                         lease: Dict[str, Any]) -> None:
-        """Push the session's lease + journal to the shared store so a
-        peer daemon can adopt it.  No-op without a shard fleet; a
-        quarantined shard turns this into an owed write-behind put,
-        drained by the next reconcile — publication is best-effort
-        bookkeeping, the content-addressed artefacts are what make a
-        cross-daemon resume bit-identical."""
-        if not hasattr(self.store, "fresh_get") \
-                or not state.directory.name:
-            return
-        meta = {"lease": dict(lease),
-                "journal": self._journal_text(state.directory)}
-        try:
-            self.store.put(self._session_meta_key(state.name), meta)
-        except StoreError:
-            pass
-
-    def _adopt_session(self, name: str,
-                       directory: Optional[pathlib.Path]) -> int:
-        """Reconcile local lease state with the fleet's published copy
-        before opening ``name``; returns the fencing epoch this daemon
-        now owns.
-
-        When a peer's published epoch exceeds the local lease's, the
-        peer owned the session more recently (possibly on a different
-        machine): replay its lease + journal into our session
-        directory, then claim ownership by bumping past every epoch
-        seen.  Two daemons racing this protocol converge on
-        last-adopter-wins — the loser's next build trips
-        :meth:`_check_fence`, so at most one daemon's session writes
-        stay current.
-        """
-        local_lease = self._read_lease(directory) \
-            if directory is not None else {}
-        local_epoch = int(local_lease.get("epoch", 0) or 0)
-        published = self._published_meta(name)
-        pub_lease = published.get("lease", {}) if published else {}
-        pub_epoch = int(pub_lease.get("epoch", 0) or 0)
-        if directory is not None and pub_epoch > local_epoch:
-            from repro.resilience.journal import journal_path
-            directory.mkdir(parents=True, exist_ok=True)
-            journal_path(directory).write_text(
-                str(published.get("journal", "")))
-            self._write_lease(directory, dict(pub_lease))
-            self._notify(
-                f"session {name!r}: adopted from "
-                f"{pub_lease.get('owner', 'unknown daemon')} "
-                f"(epoch {pub_epoch})")
-        return max(local_epoch, pub_epoch) + 1
-
-    def _check_fence(self, state: _SessionState) -> None:
-        """Refuse to build into a session a peer daemon has adopted.
-
-        A published epoch above ours means another daemon ran
-        :meth:`_adopt_session` after we did; our lease is stale.  Evict
-        the local session state (a later submit re-adopts at a higher
-        epoch) and surface the refusal as ``kind="fenced"``.
-        """
-        published = self._published_meta(state.name)
-        if not published:
-            return
-        pub_lease = published.get("lease", {})
-        pub_epoch = int(pub_lease.get("epoch", 0) or 0)
-        if pub_epoch <= state.epoch:
-            return
-        with self._lock:
-            if self._sessions.get(state.name) is state:
-                del self._sessions[state.name]
-        with state.lock:
-            state.session.close()
-        raise ServiceError(
-            f"session {state.name!r} adopted by "
-            f"{pub_lease.get('owner', 'another daemon')} at epoch "
-            f"{pub_epoch} (ours: {state.epoch}); lease fenced — "
-            f"resubmit there, or resubmit here to re-adopt",
-            kind="fenced")
+    # -- leased sessions -----------------------------------------------------
 
     def interrupted_sessions(self) -> List[str]:
         """Leased sessions whose journal shows a build that began but
         never ended — what a killed daemon left behind.  The next
         compile submitted into such a session resumes automatically."""
-        root = self._sessions_root()
-        if root is None or not root.is_dir():
-            return []
-        from repro.resilience.journal import (interrupted, journal_path,
-                                              load_journal)
-        return [directory.name for directory in sorted(root.iterdir())
-                if directory.is_dir() and interrupted(
-                    load_journal(journal_path(directory))[0])]
+        return self.leases.interrupted()
 
     def _session_state(self, req: CompileRequest) -> _SessionState:
         name = str(req.session)
@@ -495,52 +349,26 @@ class CompileService:
             state = self._sessions.get(name)
             if state is not None:
                 return state
-        root = self._sessions_root()
-        directory = root / name if root is not None else None
-        # Adoption first: a peer daemon's published journal must land
-        # on disk *before* the interrupted-build scan, so a session
-        # killed mid-build on daemon A resumes on daemon B.
-        epoch = self._adopt_session(name, directory)
-        resume = False
-        if directory is not None:
-            from repro.resilience.journal import (interrupted,
-                                                  journal_path,
-                                                  load_journal)
-            resume = interrupted(load_journal(journal_path(directory))[0])
-            if resume:
-                self._notify(f"session {name!r}: resuming interrupted "
-                             f"build from its journal")
+        lease, resume = self.leases.open(
+            name, tenant=req.tenant, app=req.app, effort=req.effort)
         session = IncrementalSession(
             store=self.store, effort=req.effort, seed=req.seed,
             tracer=self.tracer, resume=resume,
-            journal_dir=directory, engine=self._engine())
-        state = _SessionState(name, session,
-                              directory if directory is not None
-                              else pathlib.Path("."))
-        state.epoch = epoch
-        state.owner = self.daemon_id
+            journal_dir=lease.directory, engine=self._engine())
+        state = _SessionState(session, lease)
         with self._lock:
             clash = self._sessions.get(name)
             if clash is not None:
                 session.close()
                 return clash
             self._sessions[name] = state
-        if directory is not None:
-            lease = {
-                "session": name, "tenant": req.tenant,
-                "app": req.app, "effort": req.effort,
-                "status": "idle", "pid": os.getpid(),
-                "epoch": state.epoch, "owner": state.owner}
-            self._write_lease(directory, lease)
-            self._publish_session(state, lease)
+        self.leases.save(lease, "idle")
+        if session.journal is not None:
             # Republish on every journal append: the pre-build publish
             # alone would leave the fleet with a journal from *before*
             # any step ran, so a daemon SIGKILLed mid-build would hand
             # its adopter nothing to resume.
-            if session.journal is not None \
-                    and hasattr(self.store, "fresh_get"):
-                session.journal.publish = lambda: self._publish_session(
-                    state, self._read_lease(state.directory))
+            session.journal.publish = lambda: self.leases.publish(lease)
         return state
 
     # -- the request lifecycle ----------------------------------------------
@@ -589,15 +417,18 @@ class CompileService:
                 request = replace(request, flow="o0")
                 brownout = True
                 self.admission.note_routed()
-            entry = self.scheduler.submit(
-                request.tenant, cost=request.cost,
-                priority=request.priority, deadline_at=deadline_at)
-        with self._lock:
-            self._counter += 1
-            ticket = Ticket(f"t{self._counter:04d}", request, entry.seq)
+            with self._lock:
+                self._counter += 1
+                ticket = Ticket(f"t{self._counter:04d}", request)
             ticket.brownout = brownout
+            # The entry carries its ticket: a dispatcher may run it
+            # before this call returns.
+            ticket.sched_seq = self.scheduler.submit(
+                request.tenant, cost=request.cost,
+                priority=request.priority, deadline_at=deadline_at,
+                payload=ticket).seq
+        with self._lock:
             self._tickets[ticket.id] = ticket
-            self._by_seq[entry.seq] = ticket
             self._wake.notify_all()
         self._gc_tickets()
         self.tracer.instant(f"submit:{ticket.id}", category="service",
@@ -615,27 +446,21 @@ class CompileService:
         hard count cap, under which delivered results evict first,
         then oldest-finished.  Queued/running tickets never evict.
         """
-        ttl = self.config.ticket_ttl
-        cap = self.config.max_tickets
-        if ttl is None and cap is None:
-            return
         now = time.monotonic()
         with self._lock:
             finished = [t for t in self._tickets.values()
                         if t.finished is not None]
             doomed = [t for t in finished
-                      if ttl is not None and now - t.finished >= ttl]
-            if cap is not None \
-                    and len(self._tickets) - len(doomed) > cap:
+                      if now - t.finished >= TICKET_TTL_SECONDS]
+            excess = len(self._tickets) - len(doomed) - MAX_TICKETS
+            if excess > 0:
                 doomed_ids = {t.id for t in doomed}
                 spare = [t for t in finished
                          if t.id not in doomed_ids]
                 spare.sort(key=lambda t: (not t.delivered, t.finished))
-                excess = len(self._tickets) - len(doomed) - cap
                 doomed.extend(spare[:excess])
             for t in doomed:
                 self._tickets.pop(t.id, None)
-                self._by_seq.pop(t.sched_seq, None)
 
     def _ticket(self, ticket_id: str) -> Ticket:
         with self._lock:
@@ -699,19 +524,15 @@ class CompileService:
                     if self._stopping:
                         return
                 continue
-            with self._lock:
-                ticket = self._by_seq.get(entry.seq)
-            if ticket is None:           # cancelled under our feet
-                self.scheduler.release(entry.seq)
-                continue
             thread = threading.Thread(
-                target=self._run_ticket, args=(ticket,),
-                name=f"pld-request-{ticket.id}", daemon=True)
+                target=self._run_ticket, args=(entry,),
+                name=f"pld-request-{entry.payload.id}", daemon=True)
             with self._lock:
                 self._active.append(thread)
             thread.start()
 
-    def _run_ticket(self, ticket: Ticket) -> None:
+    def _run_ticket(self, entry: ScheduledRequest) -> None:
+        ticket = entry.payload
         ticket.state = "running"
         ticket.started = time.monotonic()
         try:
@@ -723,7 +544,7 @@ class CompileService:
             ticket.state = "failed"
         finally:
             ticket.finished = time.monotonic()
-            self.scheduler.release(ticket.sched_seq)
+            self.scheduler.release(entry.seq)
             if ticket.started is not None:
                 self.admission.note_done(ticket.finished - ticket.started)
             # Feed the post-release queue depth to the brownout EWMA so
@@ -796,39 +617,45 @@ class CompileService:
                 f"{req.flow!r}", kind="bad-request")
         app = self._app(req.app)
         state = self._session_state(req)
-        self._check_fence(state)
+        lease = state.lease
+        try:
+            self.leases.check(lease)
+        except ServiceError:
+            # A peer adopted the session: evict it here, so a later
+            # submit re-adopts at a higher epoch.
+            with self._lock:
+                if self._sessions.get(lease.name) is state:
+                    del self._sessions[lease.name]
+            with state.lock:
+                state.session.close()
+            raise
         with state.lock:
-            lease = {"session": state.name, "tenant": req.tenant,
-                     "app": req.app, "effort": req.effort,
-                     "status": "active", "pid": os.getpid(),
-                     "edits": state.edits,
-                     "epoch": state.epoch, "owner": state.owner}
-            if state.directory.name:
-                self._write_lease(state.directory, lease)
-                self._publish_session(state, lease)
-            if req.crash_at_step is not None:
-                # The crash-resume smoke: SIGKILL this daemon at the
-                # Nth cache-miss step of the session's next compile.
-                from repro.faults import CrashPlan
-                state.session.engine.crash_plan = CrashPlan(
-                    req.crash_at_step, point=req.crash_point,
-                    mode="sigkill")
+            lease.tenant, lease.app, lease.effort = \
+                req.tenant, req.app, req.effort
+            self.leases.save(lease, "active")
             try:
+                engine = state.session.engine
+                engine.deadline = Deadline(req.deadline) \
+                    if req.deadline is not None else None
+                if req.crash_at_step is not None:
+                    # The crash-resume tests: SIGKILL this daemon at
+                    # the Nth cache-miss step of the session's next
+                    # compile.
+                    from repro.faults import CrashPlan
+                    engine.crash_plan = CrashPlan(
+                        req.crash_at_step, point=req.crash_point,
+                        mode="sigkill")
                 if req.edit_operator is not None:
                     outcome = self._session_edit(ticket, state, app)
                 else:
                     build = state.session.compile(app.project)
                     outcome = RequestOutcome(
                         ticket=ticket.id, kind="compile", build=build,
-                        dedup=dedup_summary(state.session.engine.record),
+                        dedup=dedup_summary(engine.record),
                         resumed=list(build.resumed),
-                        tenant=req.tenant, session=state.name)
+                        tenant=req.tenant, session=lease.name)
             finally:
-                lease["status"] = "idle"
-                lease["edits"] = state.edits
-                if state.directory.name:
-                    self._write_lease(state.directory, lease)
-                    self._publish_session(state, lease)
+                self.leases.save(lease, "idle")
         return outcome
 
     def _session_edit(self, ticket: Ticket, state: _SessionState,
@@ -836,7 +663,7 @@ class CompileService:
         req = ticket.request
         if state.session.build is None:
             raise ServiceError(
-                f"session {state.name!r} has no baseline build to "
+                f"session {state.lease.name!r} has no baseline build to "
                 f"edit; submit a compile first", kind="bad-request")
         operator = req.edit_operator
         if operator in (None, "", "first-hw"):
@@ -850,18 +677,18 @@ class CompileService:
         op = state.session.project.graph.operators.get(operator)
         if op is None:
             raise ServiceError(f"no operator {operator!r} in "
-                               f"session {state.name!r}",
+                               f"session {state.lease.name!r}",
                                kind="bad-request")
         result = state.session.apply_edit(
             operator, touch_spec(op.hls_spec, tag=req.edit_tag),
             op.sample_spec)
-        state.edits += 1
+        state.lease.edits += 1
         return RequestOutcome(
             ticket=ticket.id, kind="edit", build=result.build,
             edit=result,
             dedup=dedup_summary(state.session.engine.record),
             resumed=list(result.build.resumed),
-            tenant=req.tenant, session=state.name)
+            tenant=req.tenant, session=state.lease.name)
 
     # -- overload / drain -----------------------------------------------------
 
@@ -872,8 +699,8 @@ class CompileService:
         configured quantile on exit.  (Cluster-job hedging is decided
         per flow in :meth:`make_flow`, which checks the live brownout
         flag.)"""
-        if hasattr(self.store, "hedge_quantile"):
-            self.store.hedge_quantile = None if active \
+        if self.fleet is not None:
+            self.fleet.hedge_quantile = None if active \
                 else self.config.hedge_quantile
 
     @property
@@ -960,16 +787,11 @@ class CompileService:
         for state in sessions:
             with state.lock:
                 state.session.close()
-            if state.directory.name:
-                lease = self._read_lease(state.directory)
-                lease["status"] = "released"
-                self._write_lease(state.directory, lease)
-                self._publish_session(state, lease)
+            self.leases.release(state.lease)
         if self._pool is not None:
             self._pool.shutdown()
-        close = getattr(self.store, "close", None)
-        if callable(close):
-            close()
+        if self.fleet is not None:
+            self.fleet.close()
 
     def __enter__(self) -> "CompileService":
         return self

@@ -52,9 +52,11 @@ daemon killed mid-build and restarted over the same directory finds
 the interrupted session journals and resumes them on the next submit.
 Over a shared fleet the same contract extends across machines: each
 leased session's lease + journal is published to the store under a
-fenced epoch, so a *different* daemon can adopt and resume it — the
-bit-identical-restart contract ``tests/test_service_daemon.py`` and
-the CI smoke jobs enforce.
+fenced epoch (:mod:`repro.service.lease`), so a *different* daemon can
+adopt and resume it — the bit-identical-restart contract
+``tests/test_service_daemon.py`` enforces with real subprocess daemons
+(``TestCrashResume``, ``TestCrossDaemonMigration``,
+``TestSigtermDrain``).
 """
 
 from __future__ import annotations
@@ -202,12 +204,6 @@ class ServeDaemon(FrameServer):
 
     # -- helpers -------------------------------------------------------------
 
-    @property
-    def _fleet(self):
-        """The service's shard-fleet client, or None over a local store."""
-        store = self.service.store
-        return store if hasattr(store, "fresh_get") else None
-
     def _check_auth(self, header: Dict[str, Any]) -> None:
         """Shared-secret tenant auth; no tokens configured = open."""
         if not self.tokens:
@@ -314,7 +310,7 @@ class ServeDaemon(FrameServer):
                 "total": self.connections,
                 "rejected": self.rejected_connections,
                 "max": self.max_connections}
-        fleet = self._fleet
+        fleet = self.service.fleet
         if fleet is not None:
             health = fleet.ping_all()
             stats["shard_health"] = health
@@ -368,7 +364,7 @@ class ServeDaemon(FrameServer):
     # -- lifecycle -----------------------------------------------------------
 
     def start(self) -> "ServeDaemon":
-        fleet = self._fleet
+        fleet = self.service.fleet
         # An interval of 0 turns the reconciler off (it would spin).
         if fleet is not None and self.reconcile_interval > 0:
             fleet.start_reconciler(self.reconcile_interval)
@@ -443,8 +439,8 @@ def serve(cache_dir: str, *, host: str = "127.0.0.1", port: int = 0,
     config.setdefault("slots", 4)
     service = CompileService(ServiceConfig(
         cache_dir=cache_dir, tracer=tracer, notify=notify, **config))
-    if service.config.store_urls and notify is not None:
-        urls = list(getattr(service.store, "urls", []) or [])
+    if service.fleet is not None and notify is not None:
+        urls = service.fleet.urls
         notify(f"store: {len(urls)} shard(s): {', '.join(urls)}")
     interrupted = service.interrupted_sessions()
     if interrupted and notify is not None:

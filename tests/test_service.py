@@ -10,12 +10,13 @@ import json
 import multiprocessing
 import os
 import pathlib
+import sys
 import threading
 import time
 
 import pytest
 
-from repro.errors import FlowError, ServiceError
+from repro.errors import DeadlineExceeded, FlowError, ServiceError
 from repro.service import (
     CompileRequest,
     CompileService,
@@ -72,6 +73,66 @@ class TestTickets:
         service.close()
         with pytest.raises(ServiceError, match="shut down"):
             service.submit(CompileRequest(app=APP))
+
+    def test_submit_preempted_after_enqueue_still_runs(self, monkeypatch):
+        """A dispatcher that acquires the scheduler entry before
+        ``submit`` returns still runs the request: the entry carries
+        its ticket.  Regression: the ticket was registered only after
+        the enqueue, so the dispatcher released the entry as
+        cancelled and the ticket stayed queued forever."""
+        from repro.service.scheduler import RequestScheduler
+
+        enqueue = RequestScheduler.submit
+
+        def slow_submit(self, *args, **kwargs):
+            entry = enqueue(self, *args, **kwargs)
+            time.sleep(0.5)        # longer than the dispatcher's idle wait
+            return entry
+
+        monkeypatch.setattr(RequestScheduler, "submit", slow_submit)
+        with CompileService(ServiceConfig()) as service:
+            ticket = service.submit(
+                CompileRequest(app=APP, flow="o0", effort=EFFORT))
+            assert service.result(ticket, timeout=10).ticket == ticket
+
+    def test_concurrent_submits_all_run(self):
+        """Submits from more threads than cores, under a short switch
+        interval, each run exactly once and deliver their own ticket."""
+        from repro.service.core import RequestOutcome
+
+        class NoopService(CompileService):
+            def _execute(self, ticket):
+                return RequestOutcome(ticket=ticket.id, kind="compile")
+
+        outcomes, errors = [], []
+
+        def client(service):
+            try:
+                for _ in range(25):
+                    ticket = service.submit(CompileRequest(app=APP))
+                    outcomes.append(
+                        (ticket, service.result(ticket, timeout=10).ticket))
+            except Exception as exc:             # noqa: BLE001
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with NoopService(ServiceConfig(slots=4)) as service:
+                threads = [threading.Thread(target=client, args=(service,))
+                           for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert service.scheduler.stats()["running"] == 0
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, errors[:3]
+        assert len(outcomes) == 200
+        assert all(ticket == delivered for ticket, delivered in outcomes)
+        assert len({ticket for ticket, _ in outcomes}) == 200
 
 
 # --------------------------------------------------------------------------
@@ -257,6 +318,18 @@ class TestSessionLeases:
         restarted.close()
         assert resumed.resumed            # journal replay skipped steps
         assert manifest_bytes(resumed.build) == clean_manifest
+
+    def test_session_request_honours_deadline(self, tmp_path):
+        """A leased-session request gets the deadline a one-shot one
+        does, and the next request without one runs unbounded."""
+        with CompileService(ServiceConfig(cache_dir=str(tmp_path))) as service:
+            ticket = service.submit(CompileRequest(
+                app=APP, effort=EFFORT, session="s1", deadline=1e-6))
+            with pytest.raises(DeadlineExceeded):
+                service.result(ticket, timeout=120)
+            outcome = service.compile(CompileRequest(
+                app=APP, effort=EFFORT, session="s1"), timeout=120)
+            assert outcome.build is not None
 
     def test_clean_restart_not_interrupted(self, tmp_path):
         service = CompileService(ServiceConfig(cache_dir=str(tmp_path)))
@@ -506,8 +579,7 @@ class TestCrossDaemonAdoption:
             directory = tmp_path / "daemon-a" / "sessions" / "dev"
             with journal_path(directory).open("a") as fh:
                 fh.write(json.dumps({"t": "build-begin"}) + "\n")
-            state = a._sessions["dev"]
-            a._publish_session(state, a._read_lease(directory))
+            a.leases.publish(a._sessions["dev"].lease)
 
             b = self._service(tmp_path, urls, "daemon-b")
             assert "dev" not in b.interrupted_sessions()  # not adopted yet
@@ -550,12 +622,100 @@ class TestCrossDaemonAdoption:
             # An append mid-build (no lease transition) must be
             # visible to a peer's fresh_get immediately.
             journal.end_step("forged-step", "key:forged")
-            meta = a._published_meta("dev")
+            meta = a.leases.published("dev")
             assert meta is not None
             assert '"forged-step"' in meta["journal"]
         finally:
             if a is not None:
                 a.close()
+            for server in servers:
+                server.stop()
+
+    def test_concurrent_adopters_fence_one(self, tmp_path):
+        """Two daemons that open a session before either sees the
+        other's claim both claim the same epoch; only the last to
+        publish may keep building.  Regression: fencing fired only on
+        a *higher* published epoch, so both kept building."""
+        from repro.store import ArtifactStore
+        from repro.store.remote import StoreServer
+
+        servers = [StoreServer(ArtifactStore(cache_dir=None)).start()
+                   for _ in range(3)]
+        a = b = None
+        try:
+            urls = [s.url for s in servers]
+            a = self._service(tmp_path, urls, "daemon-a")
+            self._compile(a)
+
+            # B opens the session as if it read the fleet before A
+            # published: its first read of the fleet sees nothing.
+            b = self._service(tmp_path, urls, "daemon-b")
+            fresh_get = b.store.fresh_get
+            reads = []
+
+            def first_read_misses(key):
+                reads.append(key)
+                return None if len(reads) == 1 else fresh_get(key)
+
+            b.store.fresh_get = first_read_misses
+            self._compile(b)
+            lease_of = {
+                name: json.loads((tmp_path / name / "sessions" / "dev" /
+                                  "lease.json").read_text())
+                for name in ("daemon-a", "daemon-b")}
+            assert lease_of["daemon-a"]["epoch"] == \
+                lease_of["daemon-b"]["epoch"]
+
+            fenced = []
+            for service in (a, b):
+                try:
+                    self._compile(service)
+                except ServiceError as exc:
+                    assert exc.kind == "fenced"
+                    fenced.append(service.config.daemon_id)
+            assert fenced == ["daemon-a"]
+        finally:
+            for service in (a, b):
+                if service is not None:
+                    service.close()
+            for server in servers:
+                server.stop()
+
+    def test_release_keeps_peer_claim(self, tmp_path):
+        """A stale owner's close marks its own lease released but
+        leaves a peer's later claim published, so the next adopter
+        claims past the peer's epoch.  Regression: close republished
+        the stale lease over the peer's, and a third daemon reclaimed
+        the peer's epoch."""
+        from repro.store import ArtifactStore
+        from repro.store.remote import StoreServer
+
+        servers = [StoreServer(ArtifactStore(cache_dir=None)).start()
+                   for _ in range(3)]
+        a = b = c = None
+        try:
+            urls = [s.url for s in servers]
+            a = self._service(tmp_path, urls, "daemon-a")
+            self._compile(a)
+            b = self._service(tmp_path, urls, "daemon-b")
+            self._compile(b)
+            a.close()
+            lease_a = json.loads((tmp_path / "daemon-a" / "sessions" /
+                                  "dev" / "lease.json").read_text())
+            assert lease_a["status"] == "released"
+            published = b.store.fresh_get("session-meta:dev")["lease"]
+            assert (published["owner"], published["epoch"]) == \
+                ("daemon-b", 2)
+
+            c = self._service(tmp_path, urls, "daemon-c")
+            self._compile(c)
+            lease_c = json.loads((tmp_path / "daemon-c" / "sessions" /
+                                  "dev" / "lease.json").read_text())
+            assert lease_c["epoch"] == 3
+        finally:
+            for service in (a, b, c):
+                if service is not None:
+                    service.close()
             for server in servers:
                 server.stop()
 
@@ -567,6 +727,6 @@ class TestCrossDaemonAdoption:
         try:
             outcome = self._compile(service)
             assert outcome.build is not None
-            assert service._published_meta("dev") is None
+            assert service.leases.published("dev") is None
         finally:
             service.close()

@@ -247,7 +247,7 @@ class _TicketBoard:
     def __init__(self, count):
         self._done = {f"t{i:04d}": threading.Event()
                       for i in range(count)}
-        self.store = None
+        self.fleet = None
 
     @property
     def tickets(self):
@@ -963,8 +963,11 @@ def _spawn_shard(state_dir):
 @pytest.mark.slow
 class TestCrossDaemonMigration:
     """Acceptance: a session SIGKILLed mid-build on daemon A resumes
-    bit-identically on daemon B over the shared shard fleet — the
-    same scenario the CI serve-fleet smoke job runs."""
+    bit-identically on daemon B over a shared 3-shard fleet, with
+    tenant auth on both daemons — real subprocesses for the shards and
+    the daemons, so the kill leaves nothing but what A journaled and
+    published.  The in-process protocol tests are
+    ``tests/test_service.py::TestCrossDaemonAdoption``."""
 
     def test_sigkill_daemon_a_resume_on_daemon_b(self, tmp_path):
         shards, urls = [], []
@@ -973,7 +976,8 @@ class TestCrossDaemonMigration:
                 proc, url = _spawn_shard(tmp_path / f"shard{i}")
                 shards.append(proc)
                 urls.append(url)
-            store_arg = ("--store", ",".join(urls))
+            daemon_args = ("--store", ",".join(urls),
+                           "--token", "alice=s3cret")
 
             # Reference: the same session compiled on a never-crashed
             # *storeless* daemon.  Manifests are deterministic, so it
@@ -993,10 +997,11 @@ class TestCrossDaemonMigration:
 
             # Daemon A: SIGKILL itself mid-build via the hidden
             # crash_at_step submit field.
-            proc, port, _ = _spawn_daemon(tmp_path / "a", *store_arg)
-            client = ServiceClient("127.0.0.1", port, timeout=120.0)
+            proc, port, _ = _spawn_daemon(tmp_path / "a", *daemon_args)
+            client = ServiceClient("127.0.0.1", port, timeout=120.0,
+                                   token="s3cret")
             ticket = client.submit(APP, effort=EFFORT, session="dev",
-                                   crash_at_step=3)
+                                   crash_at_step=3, tenant="alice")
             with pytest.raises((ServiceError, TransportError)):
                 client.result(ticket, timeout=120)
             client.close()
@@ -1006,11 +1011,13 @@ class TestCrossDaemonMigration:
             # fleet.  The published lease + journal let it adopt the
             # interrupted session and resume to a bit-identical
             # manifest.
-            proc, port, _ = _spawn_daemon(tmp_path / "b", *store_arg)
+            proc, port, _ = _spawn_daemon(tmp_path / "b", *daemon_args)
             try:
-                client = ServiceClient("127.0.0.1", port, timeout=120.0)
+                client = ServiceClient("127.0.0.1", port, timeout=120.0,
+                                       token="s3cret")
                 summary, manifest = client.compile(
-                    APP, effort=EFFORT, session="dev", timeout=120)
+                    APP, effort=EFFORT, session="dev", timeout=120,
+                    tenant="alice")
                 assert summary["resumed"] > 0, \
                     "daemon B did not adopt the interrupted journal"
                 assert manifest == reference
@@ -1018,6 +1025,7 @@ class TestCrossDaemonMigration:
                 client.close()
             finally:
                 assert _reap_daemon(proc) == 0
+            assert "adopted from" in proc.stdout.read()
         finally:
             for proc in shards:
                 proc.kill()

@@ -278,14 +278,14 @@ class TestBrownoutService:
 
         svc = CompileService(ServiceConfig(
             slots=1, hedge_quantile=0.9))
-        svc.store = HedgyStore()
+        svc.fleet = HedgyStore()
         try:
             svc._on_brownout(True)
-            assert svc.store.hedge_quantile is None
+            assert svc.fleet.hedge_quantile is None
             svc._on_brownout(False)
-            assert svc.store.hedge_quantile == 0.9
+            assert svc.fleet.hedge_quantile == 0.9
         finally:
-            svc.store = None
+            svc.fleet = None
             svc.close()
 
     def test_make_flow_skips_cluster_hedge_in_brownout(self):
@@ -457,23 +457,30 @@ class _NoopFlowService(CompileService):
 
 
 class TestTicketGC:
-    def _service(self, **config):
-        return _NoopFlowService(ServiceConfig(slots=1, **config))
+    @staticmethod
+    def _service(monkeypatch, cap=float("inf"), ttl=float("inf")):
+        """A service under the given GC constants (``MAX_TICKETS``,
+        ``TICKET_TTL_SECONDS``); an infinite one turns its policy off."""
+        from repro.service import core
+        monkeypatch.setattr(core, "MAX_TICKETS", cap)
+        monkeypatch.setattr(core, "TICKET_TTL_SECONDS", ttl)
+        return _NoopFlowService(ServiceConfig(slots=1))
 
-    def test_delivered_tickets_do_not_accumulate(self):
+    def test_delivered_tickets_do_not_accumulate(self, monkeypatch):
         """The leak regression: before the GC existed, ``_tickets``
-        (and ``_by_seq``) grew by one entry per request, forever."""
-        with self._service(max_tickets=16, ticket_ttl=None) as svc:
+        grew by one entry per request, forever."""
+        with self._service(monkeypatch, cap=16) as svc:
             for _ in range(100):
                 ticket = svc.submit(CompileRequest(app=APP, flow="o0"))
                 svc.result(ticket, timeout=30)
             assert len(svc._tickets) <= 17   # cap + the in-flight one
-            assert len(svc._by_seq) <= 17
+            stats = svc.scheduler.stats()
+            assert stats["queued"] == 0 and stats["running"] == 0
 
-    def test_ttl_reaps_undelivered_results(self):
+    def test_ttl_reaps_undelivered_results(self, monkeypatch):
         """An abandoned result (client never called ``result``) still
         goes away once its TTL passes."""
-        with self._service(max_tickets=None, ticket_ttl=0.1) as svc:
+        with self._service(monkeypatch, ttl=0.1) as svc:
             ticket = svc.submit(CompileRequest(app=APP, flow="o0"))
             svc.result(ticket, timeout=30)   # wait for it to finish
             deadline = time.monotonic() + 10.0
@@ -482,10 +489,9 @@ class TestTicketGC:
                 svc.submit(CompileRequest(app=APP, flow="o0"))
                 assert time.monotonic() < deadline, "TTL GC never ran"
 
-    def test_queued_and_running_never_evicted(self):
+    def test_queued_and_running_never_evicted(self, monkeypatch):
         release = threading.Event()
-        svc = _NoopFlowService(ServiceConfig(
-            slots=1, max_tickets=1, ticket_ttl=None))
+        svc = self._service(monkeypatch, cap=1)
         inner = svc._execute
         svc._execute = lambda t: (release.wait(30), inner(t))[1]
         try:
@@ -503,16 +509,8 @@ class TestTicketGC:
             release.set()
             svc.close()
 
-    def test_gc_cleans_by_seq_too(self):
-        with self._service(max_tickets=4, ticket_ttl=None) as svc:
-            for _ in range(50):
-                svc.result(svc.submit(CompileRequest(app=APP,
-                                                     flow="o0")),
-                           timeout=30)
-            assert len(svc._by_seq) == len(svc._tickets)
-
-    def test_unknown_after_gc_raises_unknown_ticket(self):
-        with self._service(max_tickets=2, ticket_ttl=None) as svc:
+    def test_unknown_after_gc_raises_unknown_ticket(self, monkeypatch):
+        with self._service(monkeypatch, cap=2) as svc:
             first = svc.submit(CompileRequest(app=APP, flow="o0"))
             svc.result(first, timeout=30)
             for _ in range(10):
