@@ -6,11 +6,15 @@ stores, journals and tracers together inline, once per invocation.
 (in-process) and the ``pld serve`` daemon (over TCP) are thin frontends
 over the same layer:
 
-* **submit/status/result** — requests enter a fair-share
+* **submit/status/result** — ``submit`` rejects a malformed request
+  (``kind="bad-request"``) before admission control counts it or a
+  ticket number is taken; an admitted request enters a fair-share
   :class:`~repro.service.scheduler.RequestScheduler` (per-tenant
-  quotas, priority/deadline classes) and run on dispatcher-managed
-  worker threads; ``result`` blocks until done and re-raises the
-  request's failure exactly as an inline call would.
+  quotas, priority/deadline classes) and runs on one of ``slots``
+  long-lived request workers; ``result`` blocks until done and
+  re-raises the request's failure exactly as an inline call would.
+  One lock guards the tickets, the scheduler and the admission
+  controller; the latter two are plain data structures.
 * **Named, leased sessions** — a request naming ``session=`` gets a
   long-lived :class:`~repro.core.IncrementalSession` whose journal
   lives in its own ``sessions/<name>/`` directory next to a
@@ -47,7 +51,7 @@ from repro.core.flows import FLOWS
 from repro.resilience import Deadline
 from repro.service.lease import Lease, SessionLeases
 from repro.service.overload import AdmissionController
-from repro.service.scheduler import RequestScheduler, ScheduledRequest
+from repro.service.scheduler import PRIORITY_CLASSES, RequestScheduler
 from repro.trace import NULL_TRACER
 
 #: Finished-ticket GC: evict tickets this many seconds after they
@@ -242,23 +246,28 @@ class CompileService:
             brownout_low=self.config.brownout_low,
             on_brownout=self._on_brownout,
             tracer=self.tracer)
-        self._admit_lock = threading.Lock()
-        self._draining = False
         self.peers: List[str] = list(self.config.peers)
         self._pool = WorkerPool(self.config.workers) \
             if (self.config.workers or 1) > 1 else None
-        self._tickets: Dict[str, Ticket] = {}
-        self._sessions: Dict[str, _SessionState] = {}
+        #: The one lock: it guards the scheduler, the admission
+        #: controller and every field below.  ``_wake`` is signalled on
+        #: every submit, release and close.
         self._lock = threading.Lock()
         self._wake = threading.Condition(self._lock)
-        self._counter = 0
-        self._closed = False
-        self._stopping = False
-        self._active: List[threading.Thread] = []
+        self._tickets: Dict[str, Ticket] = {}
+        self._sessions: Dict[str, _SessionState] = {}
         self._tenant_totals: Dict[str, Dict[str, float]] = {}
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_loop, name="pld-dispatch", daemon=True)
-        self._dispatcher.start()
+        self._counter = 0
+        self._draining = False
+        self._closed = False
+        # Each request costs at least one slot, so ``slots`` workers
+        # are enough to fill the scheduler's pool.
+        self._workers = [
+            threading.Thread(target=self._work, args=(n,),
+                             name=f"pld-worker-{n}", daemon=True)
+            for n in range(max(1, self.config.slots))]
+        for worker in self._workers:
+            worker.start()
 
     # -- wiring (the orchestration that used to live in cli.py) -------------
 
@@ -309,11 +318,7 @@ class CompileService:
                             crash_plan=crash_plan)
 
     def make_flow(self, name: str, effort: float, seed: int = 1):
-        try:
-            cls = FLOWS[name]
-        except KeyError:
-            raise ServiceError(f"unknown flow {name!r}; choose from "
-                               f"{sorted(FLOWS)}", kind="bad-request")
+        cls = FLOWS[name]
         kwargs: Dict[str, Any] = {"effort": effort, "seed": seed}
         # Hedged page-compile retries for the o1 cluster — but not
         # during brownout, when speculation is the wrong spend.
@@ -341,10 +346,7 @@ class CompileService:
         return self.leases.interrupted()
 
     def _session_state(self, req: CompileRequest) -> _SessionState:
-        name = str(req.session)
-        if not name or "/" in name or name.startswith("."):
-            raise ServiceError(f"bad session name {name!r}",
-                               kind="bad-request")
+        name = req.session
         with self._lock:
             state = self._sessions.get(name)
             if state is not None:
@@ -373,28 +375,48 @@ class CompileService:
 
     # -- the request lifecycle ----------------------------------------------
 
+    def _reject_bad_request(self, request: CompileRequest) -> None:
+        """The submit-time gate: every check that needs only the
+        request.  (An unknown *app* still fails when the request runs.)"""
+        session = request.session
+        if request.flow not in FLOWS:
+            problem = (f"unknown flow {request.flow!r}; choose from "
+                       f"{sorted(FLOWS)}")
+        elif request.priority not in PRIORITY_CLASSES:
+            problem = (f"unknown priority class {request.priority!r}; "
+                       f"choose from {sorted(PRIORITY_CLASSES)}")
+        elif session is not None and (not session or "/" in session
+                                      or session.startswith(".")):
+            problem = f"bad session name {session!r}"
+        elif session is not None and request.flow != "o1":
+            problem = (f"leased sessions compile with the o1 flow, not "
+                       f"{request.flow!r}")
+        elif session is None and request.edit_operator is not None:
+            problem = (f"edit_operator {request.edit_operator!r} needs "
+                       f"a session")
+        else:
+            return
+        raise ServiceError(problem, kind="bad-request")
+
+    def draining_error(self) -> ServiceError:
+        """What a draining service answers every submit with."""
+        return ServiceError("daemon is draining; resubmit to a peer",
+                            kind="draining", retry_after=1.0,
+                            peers=tuple(self.peers))
+
     def submit(self, request: CompileRequest) -> str:
         """Enqueue a request; returns its ticket id immediately.
 
-        Admission control runs here, *before* the scheduler ever sees
-        the request: bounded queue depths, per-tenant rate limits and
-        class-aware shedding reject with
-        :class:`~repro.errors.OverloadedError` (``kind="overloaded"``,
-        ``retry_after`` drain estimate).  A draining service rejects
-        everything with ``kind="draining"`` plus peer hints.  During
-        brownout, new one-shot compiles reroute to the -O0 degradation
-        path (seconds of work instead of minutes).
+        Under the one lock, in order: a closed service rejects
+        (``kind="closed"``), a draining one too (``kind="draining"``,
+        plus peer hints), then a malformed request
+        (``kind="bad-request"``), all before admission control counts
+        anything or a ticket number is taken.  Admission bounds queue
+        depths, rate-limits tenants and sheds by class, raising
+        :class:`~repro.errors.OverloadedError` with a ``retry_after``
+        drain estimate.  During brownout, new one-shot compiles reroute
+        to the -O0 degradation path (seconds of work, not minutes).
         """
-        if self._closed or self._stopping:
-            raise ServiceError("service is shut down", kind="closed")
-        if self._draining:
-            raise ServiceError(
-                "daemon is draining; resubmit to a peer",
-                kind="draining", retry_after=1.0,
-                peers=tuple(self.peers))
-        if request.flow not in FLOWS:
-            raise ServiceError(f"unknown flow {request.flow!r}; choose "
-                               f"from {sorted(FLOWS)}", kind="bad-request")
         deadline_at = None
         if request.deadline is not None:
             deadline_at = time.monotonic() + float(request.deadline)
@@ -403,34 +425,32 @@ class CompileService:
         shed_class = "deadline" if deadline_at is not None \
             else request.priority
         brownout = False
-        # One lock around sample-depths → admit → enqueue: a barrage of
-        # concurrent submits must not all sample the same (stale) depth
-        # and overshoot the bound.
-        with self._admit_lock:
+        with self._lock:
+            if self._closed:
+                raise ServiceError("service is shut down", kind="closed")
+            if self._draining:
+                raise self.draining_error()
+            self._reject_bad_request(request)
             queued, per_tenant = self.scheduler.queued_counts()
             self.admission.admit(
                 request.tenant, priority=shed_class, queued=queued,
                 queued_tenant=per_tenant.get(request.tenant, 0))
             if self.admission.brownout and request.session is None \
-                    and request.edit_operator is None \
                     and request.flow in ("o1", "o3"):
                 request = replace(request, flow="o0")
                 brownout = True
                 self.admission.note_routed()
-            with self._lock:
-                self._counter += 1
-                ticket = Ticket(f"t{self._counter:04d}", request)
+            self._counter += 1
+            ticket = Ticket(f"t{self._counter:04d}", request)
             ticket.brownout = brownout
-            # The entry carries its ticket: a dispatcher may run it
-            # before this call returns.
             ticket.sched_seq = self.scheduler.submit(
                 request.tenant, cost=request.cost,
                 priority=request.priority, deadline_at=deadline_at,
                 payload=ticket).seq
-        with self._lock:
             self._tickets[ticket.id] = ticket
+            self._gc_tickets()
+            # All, not one: a ``wait_idle`` caller may be waiting too.
             self._wake.notify_all()
-        self._gc_tickets()
         self.tracer.instant(f"submit:{ticket.id}", category="service",
                             lane=f"tenant:{request.tenant}",
                             app=request.app, flow=request.flow,
@@ -439,7 +459,8 @@ class CompileService:
         return ticket.id
 
     def _gc_tickets(self) -> None:
-        """Evict finished tickets so the registry stays bounded.
+        """Evict finished tickets so the registry stays bounded (the
+        caller holds the lock).
 
         Two policies compose: a TTL on finished tickets (an abandoned
         result eventually goes away even if nobody collects it) and a
@@ -447,41 +468,40 @@ class CompileService:
         then oldest-finished.  Queued/running tickets never evict.
         """
         now = time.monotonic()
-        with self._lock:
-            finished = [t for t in self._tickets.values()
-                        if t.finished is not None]
-            doomed = [t for t in finished
-                      if now - t.finished >= TICKET_TTL_SECONDS]
-            excess = len(self._tickets) - len(doomed) - MAX_TICKETS
-            if excess > 0:
-                doomed_ids = {t.id for t in doomed}
-                spare = [t for t in finished
-                         if t.id not in doomed_ids]
-                spare.sort(key=lambda t: (not t.delivered, t.finished))
-                doomed.extend(spare[:excess])
-            for t in doomed:
-                self._tickets.pop(t.id, None)
+        finished = [t for t in self._tickets.values()
+                    if t.finished is not None]
+        doomed = [t for t in finished
+                  if now - t.finished >= TICKET_TTL_SECONDS]
+        excess = len(self._tickets) - len(doomed) - MAX_TICKETS
+        if excess > 0:
+            doomed_ids = {t.id for t in doomed}
+            spare = [t for t in finished if t.id not in doomed_ids]
+            spare.sort(key=lambda t: (not t.delivered, t.finished))
+            doomed.extend(spare[:excess])
+        for t in doomed:
+            self._tickets.pop(t.id, None)
 
     def _ticket(self, ticket_id: str) -> Ticket:
-        with self._lock:
-            ticket = self._tickets.get(ticket_id)
+        """The live ticket (the caller holds the lock)."""
+        ticket = self._tickets.get(ticket_id)
         if ticket is None:
             raise ServiceError(f"unknown ticket {ticket_id!r}",
                                kind="unknown-ticket")
         return ticket
 
     def status(self, ticket_id: str) -> Dict[str, Any]:
-        ticket = self._ticket(ticket_id)
-        position = self.scheduler.queue_position(ticket.sched_seq)
-        return {
-            "ticket": ticket.id,
-            "state": ticket.state,
-            "position": position,
-            "tenant": ticket.request.tenant,
-            "app": ticket.request.app,
-            "flow": ticket.request.flow,
-            "session": ticket.request.session,
-        }
+        with self._lock:
+            ticket = self._ticket(ticket_id)
+            return {
+                "ticket": ticket.id,
+                "state": ticket.state,
+                "position": self.scheduler.queue_position(
+                    ticket.sched_seq),
+                "tenant": ticket.request.tenant,
+                "app": ticket.request.app,
+                "flow": ticket.request.flow,
+                "session": ticket.request.session,
+            }
 
     def wait(self, ticket_id: str, timeout: Optional[float] = None
              ) -> bool:
@@ -489,18 +509,22 @@ class CompileService:
         seconds pass (False).  Unlike :meth:`result` it neither raises
         the request's failure nor marks its result delivered — the
         daemon's ``result`` waiter slices its wait with it."""
-        return self._ticket(ticket_id).done.wait(timeout)
+        with self._lock:
+            ticket = self._ticket(ticket_id)
+        return ticket.done.wait(timeout)
 
     def result(self, ticket_id: str,
                timeout: Optional[float] = None) -> RequestOutcome:
         """Block until the request finishes; re-raise its failure."""
-        ticket = self._ticket(ticket_id)
+        with self._lock:
+            ticket = self._ticket(ticket_id)
         if not ticket.done.wait(timeout):
             raise ServiceError(
                 f"request {ticket_id} still {ticket.state} after "
                 f"{timeout:g}s", kind="timeout")
-        ticket.delivered = True
-        self._gc_tickets()
+        with self._lock:
+            ticket.delivered = True
+            self._gc_tickets()
         if ticket.error is not None:
             raise ticket.error
         assert ticket.outcome is not None
@@ -511,50 +535,47 @@ class CompileService:
         """Submit + result: the synchronous frontend the CLI uses."""
         return self.result(self.submit(request), timeout=timeout)
 
-    # -- dispatch ------------------------------------------------------------
+    # -- the request workers --------------------------------------------------
 
-    def _dispatch_loop(self) -> None:
+    def _work(self, n: int) -> None:
+        """One of the ``slots`` request workers.
+
+        It picks the next eligible request and waits on ``_wake``
+        inside one hold of the lock, so no submit or release can
+        notify between an empty ``acquire`` and the wait.  While it
+        runs a request the thread is named ``pld-request-<ticket>``.
+        """
+        thread = threading.current_thread()
         while True:
-            entry = self.scheduler.acquire()
-            if entry is None:
-                with self._lock:
-                    if self._stopping:
-                        return
-                    self._wake.wait(timeout=0.2)
-                    if self._stopping:
-                        return
-                continue
-            thread = threading.Thread(
-                target=self._run_ticket, args=(entry,),
-                name=f"pld-request-{entry.payload.id}", daemon=True)
             with self._lock:
-                self._active.append(thread)
-            thread.start()
-
-    def _run_ticket(self, entry: ScheduledRequest) -> None:
-        ticket = entry.payload
-        ticket.state = "running"
-        ticket.started = time.monotonic()
-        try:
-            outcome = self._execute(ticket)
-            ticket.outcome = outcome
-            ticket.state = "done"
-        except BaseException as exc:     # noqa: B036 — re-raised in result()
-            ticket.error = exc
-            ticket.state = "failed"
-        finally:
-            ticket.finished = time.monotonic()
-            self.scheduler.release(entry.seq)
-            if ticket.started is not None:
+                while not self._closed:
+                    entry = self.scheduler.acquire()
+                    if entry is not None:
+                        break
+                    self._wake.wait()
+                else:
+                    return
+                ticket = entry.payload
+                ticket.state = "running"
+                ticket.started = time.monotonic()
+            thread.name = f"pld-request-{ticket.id}"
+            try:
+                ticket.outcome = self._execute(ticket)
+            except BaseException as exc:  # noqa: B036 — re-raised in result()
+                ticket.error = exc
+            thread.name = f"pld-worker-{n}"
+            with self._lock:
+                ticket.state = "failed" if ticket.error is not None \
+                    else "done"
+                ticket.finished = time.monotonic()
+                self.scheduler.release(entry.seq)
                 self.admission.note_done(ticket.finished - ticket.started)
-            # Feed the post-release queue depth to the brownout EWMA so
-            # it decays — and brownout exits — as the backlog drains.
-            self.admission.observe(self.scheduler.queued_counts()[0])
-            with self._lock:
-                self._active = [t for t in self._active
-                                if t is not threading.current_thread()]
+                # Feed the post-release queue depth to the brownout
+                # EWMA so it decays — and brownout exits — as the
+                # backlog drains.
+                self.admission.observe(self.scheduler.queued_counts()[0])
                 self._wake.notify_all()
-            ticket.done.set()
+                ticket.done.set()
 
     # -- execution -----------------------------------------------------------
 
@@ -611,10 +632,6 @@ class CompileService:
 
     def _execute_session(self, ticket: Ticket) -> RequestOutcome:
         req = ticket.request
-        if req.flow != "o1":
-            raise ServiceError(
-                f"leased sessions compile with the o1 flow, not "
-                f"{req.flow!r}", kind="bad-request")
         app = self._app(req.app)
         state = self._session_state(req)
         lease = state.lease
@@ -724,20 +741,20 @@ class CompileService:
 
     def wait_idle(self, timeout: Optional[float] = None) -> bool:
         """Block until nothing is queued or running (True), or the
-        timeout passes (False)."""
+        timeout passes or the service closes (False)."""
         deadline = None if timeout is None \
             else time.monotonic() + timeout
-        while True:
-            if self._closed:
-                return False
-            s = self.scheduler.stats()
-            with self._lock:
-                active = len(self._active)
-            if s["queued"] == 0 and s["running"] == 0 and active == 0:
-                return True
-            if deadline is not None and time.monotonic() >= deadline:
-                return False
-            time.sleep(0.05)
+        with self._lock:
+            while not self._closed:
+                s = self.scheduler.stats()
+                if s["queued"] == 0 and s["running"] == 0:
+                    return True
+                left = None if deadline is None \
+                    else deadline - time.monotonic()
+                if left is not None and left <= 0:
+                    return False
+                self._wake.wait(left)
+            return False
 
     def undelivered(self) -> int:
         """Finished tickets whose result no :meth:`result` call has
@@ -749,38 +766,35 @@ class CompileService:
     # -- introspection / lifecycle -------------------------------------------
 
     def stats(self) -> Dict[str, Any]:
+        """One consistent snapshot of the service (the daemon's
+        ``stats`` and ``health`` ops both read it)."""
         with self._lock:
-            tenants = {t: dict(v) for t, v in
-                       self._tenant_totals.items()}
-            tickets = len(self._tickets)
-            sessions = sorted(self._sessions)
-        steps = sum(v["steps"] for v in tenants.values())
-        hits = sum(v["hits"] for v in tenants.values())
-        return {
-            "tickets": tickets,
-            "sessions": sessions,
-            "tenants": tenants,
-            "dedup_ratio": (hits / steps) if steps else 1.0,
-            "scheduler": self.scheduler.stats(),
-            "admission": self.admission.snapshot(),
-            "draining": self._draining,
-            "store": dict(self.store.stats()),
-        }
+            stats = {
+                "tickets": len(self._tickets),
+                "sessions": sorted(self._sessions),
+                "tenants": {t: dict(v) for t, v in
+                            self._tenant_totals.items()},
+                "scheduler": self.scheduler.stats(),
+                "admission": self.admission.snapshot(),
+                "draining": self._draining,
+            }
+        steps = sum(v["steps"] for v in stats["tenants"].values())
+        hits = sum(v["hits"] for v in stats["tenants"].values())
+        stats["dedup_ratio"] = (hits / steps) if steps else 1.0
+        stats["store"] = dict(self.store.stats())
+        return stats
 
     def close(self, timeout: float = 30.0) -> None:
-        """Drain running requests, close sessions, pool and store
-        (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
+        """Finish running requests, close sessions, pool and store
+        (idempotent).  Requests still queued are not started."""
         with self._lock:
-            self._stopping = True
+            if self._closed:
+                return
+            self._closed = True
             self._wake.notify_all()
-            active = list(self._active)
-        self._dispatcher.join(timeout=5.0)
         deadline = time.monotonic() + timeout
-        for thread in active:
-            thread.join(timeout=max(0.1, deadline - time.monotonic()))
+        for worker in self._workers:
+            worker.join(timeout=max(0.1, deadline - time.monotonic()))
         with self._lock:
             sessions = list(self._sessions.values())
             self._sessions = {}

@@ -231,25 +231,22 @@ class ServeDaemon(FrameServer):
         """Liveness vs. readiness: a live daemon answers; a *ready*
         one is also accepting new submits (not draining/stopping).
         Load balancers route on ``ready``, watchdogs on ``live``."""
-        sched = self.service.scheduler.stats()
-        draining = self.service.draining
+        stats = self.service.stats()
+        draining = stats["draining"]
         return {"ok": True, "live": True,
                 "ready": not draining and not self._stopping.is_set(),
                 "draining": draining,
-                "brownout": self.service.admission.brownout,
-                "queued": sched["queued"],
-                "running": sched["running"],
+                "brownout": stats["admission"]["brownout"],
+                "queued": stats["scheduler"]["queued"],
+                "running": stats["scheduler"]["running"],
                 "connections": self.active_connections,
                 "pid": os.getpid()}, b""
 
     def _op_submit(self, header, conn):
         if self.service.draining:
-            # Fast path: no auth — a draining daemon answers every
-            # submit with its peer hints immediately.
-            return {"ok": False, "kind": "draining",
-                    "error": "daemon is draining; resubmit to a peer",
-                    "retry_after": 1.0,
-                    "peers": list(self.service.peers)}, b""
+            # Before auth: a draining daemon answers every submit with
+            # its peer hints.
+            raise self.service.draining_error()
         self._check_auth(header)
         ticket = self.service.submit(request_from_header(header))
         return {"ok": True, "ticket": ticket,

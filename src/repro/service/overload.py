@@ -5,8 +5,9 @@ needed most — the paper's whole premise is that compilation stays
 interactive, so the service layer must degrade *gracefully* under a
 tenant flood instead of queueing without bound.  This module is the
 policy layer :class:`~repro.service.core.CompileService` consults at
-submit time, deliberately free of threads and wall clocks (both are
-injectable) so every decision is unit-testable:
+submit time: a plain data structure the service locks, with no threads,
+no lock of its own and an injectable clock, so every decision is
+unit-testable:
 
 * **Admission control** — a global bounded queue depth
   (``max_queued``), a per-tenant bound (``max_queued_per_tenant``) and
@@ -36,7 +37,6 @@ trace instants and every decision increments a counter in
 from __future__ import annotations
 
 import math
-import threading
 import time
 from typing import Callable, Dict, Optional
 
@@ -97,6 +97,9 @@ class TokenBucket:
 class AdmissionController:
     """The submit-time gate: bounded queues, rate limits, shed, brownout.
 
+    Not thread-safe: the service calls every method under its one lock,
+    which also covers the scheduler whose depths :meth:`admit` reads.
+
     Args:
         max_queued: global queued-request bound (None = unbounded, the
             pre-overload-protection behaviour).
@@ -142,7 +145,6 @@ class AdmissionController:
         self.on_brownout = on_brownout
         self.clock = clock
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self._lock = threading.Lock()
         self._buckets: Dict[str, TokenBucket] = {}
         self.brownout = False
         self.ewma = 0.0
@@ -207,23 +209,19 @@ class AdmissionController:
                 self.on_brownout(False)
 
     def observe(self, depth: int) -> None:
-        """Feed a queue-depth sample outside submit (request release,
-        stats polls) so the EWMA decays — and brownout exits — even
-        when nobody is submitting."""
-        with self._lock:
-            self._update_ewma(depth)
+        """Feed a queue-depth sample outside submit (a request's
+        release) so the EWMA decays — and brownout exits — even when
+        nobody is submitting."""
+        self._update_ewma(depth)
 
     def note_routed(self) -> None:
         """Count one compile brownout rerouted to the -O0 path."""
-        with self._lock:
-            self.counters["brownout_routed"] += 1
+        self.counters["brownout_routed"] += 1
 
     def note_done(self, wall_seconds: float) -> None:
         """Fold one finished request's wall time into the drain-rate
         estimate behind ``retry_after``."""
-        with self._lock:
-            self._avg_wall += 0.2 * (max(0.0, wall_seconds)
-                                     - self._avg_wall)
+        self._avg_wall += 0.2 * (max(0.0, wall_seconds) - self._avg_wall)
 
     # -- retry_after ---------------------------------------------------------
 
@@ -240,27 +238,27 @@ class AdmissionController:
         """Admit or shed one submit.
 
         ``queued``/``queued_tenant`` are the scheduler's current queue
-        depths (sampled by the caller under its submit lock).  Raises
-        :class:`OverloadedError` on rejection; on return the request
-        may enter the scheduler.
+        depths, read under the same service lock as this call, so
+        concurrent submits cannot all see one stale depth and overshoot
+        the bound.  Raises :class:`OverloadedError` on rejection; on
+        return the request may enter the scheduler.
         """
-        with self._lock:
-            self._update_ewma(queued)
-            reason = self._reject_reason(tenant, priority, queued,
-                                         queued_tenant)
-            if reason is None:
-                self.counters["admitted"] += 1
-                return
-            kind, retry_after, message = reason
-            self.counters["rejected"] += 1
-            self.counters[kind.replace("-", "_")] = \
-                self.counters.get(kind.replace("-", "_"), 0) + 1
+        self._update_ewma(queued)
+        reason = self._reject_reason(tenant, priority, queued,
+                                     queued_tenant)
+        if reason is None:
+            self.counters["admitted"] += 1
+            return
+        kind, retry_after, message = reason
+        self.counters["rejected"] += 1
+        self.counters[kind.replace("-", "_")] = \
+            self.counters.get(kind.replace("-", "_"), 0) + 1
         raise OverloadedError(message, retry_after=retry_after,
                               reason=kind)
 
     def _reject_reason(self, tenant: str, priority: str, queued: int,
                        queued_tenant: int):
-        """(reason, retry_after, message) or None — under the lock."""
+        """(reason, retry_after, message) or None."""
         if self.max_queued is not None and queued >= self.max_queued:
             return ("queue-full",
                     self._drain_estimate(queued - self.max_queued + 1),
@@ -299,16 +297,15 @@ class AdmissionController:
     # -- introspection -------------------------------------------------------
 
     def snapshot(self) -> Dict[str, object]:
-        with self._lock:
-            return {
-                "brownout": self.brownout,
-                "queue_ewma": round(self.ewma, 3),
-                "max_queued": self.max_queued,
-                "max_queued_per_tenant": self.max_queued_per_tenant,
-                "rates": dict(self.rates),
-                "default_rate": self.default_rate,
-                "counters": dict(self.counters),
-            }
+        return {
+            "brownout": self.brownout,
+            "queue_ewma": round(self.ewma, 3),
+            "max_queued": self.max_queued,
+            "max_queued_per_tenant": self.max_queued_per_tenant,
+            "rates": dict(self.rates),
+            "default_rate": self.default_rate,
+            "counters": dict(self.counters),
+        }
 
     def __repr__(self) -> str:
         state = "brownout" if self.brownout else "normal"

@@ -1,10 +1,12 @@
 """Fair-share request scheduling for the compile service.
 
 The daemon multiplexes many tenants onto one pool of engine workers;
-this module decides *who goes next*.  The policy is deliberately a
-plain data structure — no threads, no clocks — so the service can wrap
-it in a lock and the fairness properties can be tested exhaustively
-(see ``tests/test_service_scheduler.py``):
+this module decides *who goes next*.  The policy is a plain data
+structure the service locks: no threads, no clocks and no lock of its
+own.  :class:`~repro.service.core.CompileService` calls every method
+under its one lock and validates a request's priority class before it
+gets here, and the fairness properties are tested exhaustively on the
+bare structure (see ``tests/test_service_scheduler.py``):
 
 * **Per-tenant quotas** — a tenant's running requests may never hold
   more than its quota of workers; everyone else's requests stay
@@ -28,7 +30,6 @@ it in a lock and the fairness properties can be tested exhaustively
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -59,10 +60,6 @@ class ScheduledRequest:
     rank: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.priority not in PRIORITY_CLASSES:
-            raise ServiceError(
-                f"unknown priority class {self.priority!r}; choose "
-                f"from {sorted(PRIORITY_CLASSES)}")
         self.rank = PRIORITY_CLASSES[self.priority]
         if self.deadline_at is not None:
             self.rank = PRIORITY_CLASSES["deadline"]
@@ -79,10 +76,10 @@ class RequestScheduler:
             i.e. quotas off unless configured).
         quotas: explicit per-tenant worker caps.
 
-    All methods are thread-safe (one internal lock); ``acquire`` is
-    non-blocking and returns ``None`` when nothing is eligible — the
-    service's dispatch loop waits on its own condition variable and
-    retries after every submit and release.
+    Not thread-safe: the service calls it under its one lock.
+    ``acquire`` is non-blocking and returns ``None`` when nothing is
+    eligible — the service's request workers then wait on its condition
+    variable and retry after every submit and release.
     """
 
     def __init__(self, total_workers: int = 1,
@@ -94,7 +91,6 @@ class RequestScheduler:
         self.default_quota = total_workers if default_quota is None \
             else max(1, default_quota)
         self.quotas = dict(quotas or {})
-        self._lock = threading.Lock()
         self._queued: List[ScheduledRequest] = []
         self._running: Dict[int, ScheduledRequest] = {}
         self._in_use: Dict[str, int] = {}
@@ -108,10 +104,6 @@ class RequestScheduler:
         return min(self.total_workers,
                    self.quotas.get(tenant, self.default_quota))
 
-    def in_use(self, tenant: str) -> int:
-        with self._lock:
-            return self._in_use.get(tenant, 0)
-
     # -- the queue -----------------------------------------------------------
 
     def submit(self, tenant: str, *, cost: int = 1,
@@ -120,23 +112,13 @@ class RequestScheduler:
                payload: object = None) -> ScheduledRequest:
         """Enqueue one request; returns its entry (identity: ``seq``)."""
         cost = max(1, min(int(cost), self.total_workers))
-        with self._lock:
-            self._seq += 1
-            entry = ScheduledRequest(
-                seq=self._seq, tenant=tenant, cost=cost,
-                priority=priority, deadline_at=deadline_at,
-                submitted_round=self._rounds, payload=payload)
-            self._queued.append(entry)
-            return entry
-
-    def cancel(self, seq: int) -> bool:
-        """Drop a still-queued request; False if it already ran."""
-        with self._lock:
-            for i, entry in enumerate(self._queued):
-                if entry.seq == seq:
-                    del self._queued[i]
-                    return True
-            return False
+        self._seq += 1
+        entry = ScheduledRequest(
+            seq=self._seq, tenant=tenant, cost=cost,
+            priority=priority, deadline_at=deadline_at,
+            submitted_round=self._rounds, payload=payload)
+        self._queued.append(entry)
+        return entry
 
     def _effective_rank(self, entry: ScheduledRequest) -> int:
         # Deliberately NOT clamped at zero: deadline ordering sorts
@@ -154,79 +136,72 @@ class RequestScheduler:
         :meth:`release`; its tenant's virtual time advances by its
         cost, which is what rotates service across tenants.
         """
-        with self._lock:
-            self._rounds += 1
-            free = self.total_workers - sum(
-                e.cost for e in self._running.values())
-            best: Optional[ScheduledRequest] = None
-            best_key = None
-            for entry in self._queued:
-                if entry.cost > free:
-                    continue
-                used = self._in_use.get(entry.tenant, 0)
-                if used + entry.cost > self.quota(entry.tenant):
-                    continue
-                key = (self._effective_rank(entry),
-                       entry.deadline_at if entry.deadline_at is not None
-                       else float("inf"),
-                       self._vtime.get(entry.tenant, 0.0),
-                       entry.seq)
-                if best_key is None or key < best_key:
-                    best, best_key = entry, key
-            if best is None:
-                return None
-            self._queued.remove(best)
-            self._running[best.seq] = best
-            self._in_use[best.tenant] = \
-                self._in_use.get(best.tenant, 0) + best.cost
-            self._vtime[best.tenant] = \
-                self._vtime.get(best.tenant, 0.0) + best.cost
-            return best
+        self._rounds += 1
+        free = self.total_workers - sum(
+            e.cost for e in self._running.values())
+        best: Optional[ScheduledRequest] = None
+        best_key = None
+        for entry in self._queued:
+            if entry.cost > free:
+                continue
+            used = self._in_use.get(entry.tenant, 0)
+            if used + entry.cost > self.quota(entry.tenant):
+                continue
+            key = (self._effective_rank(entry),
+                   entry.deadline_at if entry.deadline_at is not None
+                   else float("inf"),
+                   self._vtime.get(entry.tenant, 0.0),
+                   entry.seq)
+            if best_key is None or key < best_key:
+                best, best_key = entry, key
+        if best is None:
+            return None
+        self._queued.remove(best)
+        self._running[best.seq] = best
+        self._in_use[best.tenant] = \
+            self._in_use.get(best.tenant, 0) + best.cost
+        self._vtime[best.tenant] = \
+            self._vtime.get(best.tenant, 0.0) + best.cost
+        return best
 
     def release(self, seq: int) -> None:
         """Return a running request's workers to the pool."""
-        with self._lock:
-            entry = self._running.pop(seq, None)
-            if entry is None:
-                raise ServiceError(f"release of unknown request {seq}")
-            remaining = self._in_use.get(entry.tenant, 0) - entry.cost
-            if remaining > 0:
-                self._in_use[entry.tenant] = remaining
-            else:
-                self._in_use.pop(entry.tenant, None)
+        entry = self._running.pop(seq, None)
+        if entry is None:
+            raise ServiceError(f"release of unknown request {seq}")
+        remaining = self._in_use.get(entry.tenant, 0) - entry.cost
+        if remaining > 0:
+            self._in_use[entry.tenant] = remaining
+        else:
+            self._in_use.pop(entry.tenant, None)
 
     # -- introspection -------------------------------------------------------
 
     def queued_counts(self) -> "tuple[int, Dict[str, int]]":
         """(total queued, per-tenant queued) — what admission control
         samples before letting a submit enter the queue."""
-        with self._lock:
-            per_tenant: Dict[str, int] = {}
-            for entry in self._queued:
-                per_tenant[entry.tenant] = \
-                    per_tenant.get(entry.tenant, 0) + 1
-            return len(self._queued), per_tenant
+        per_tenant: Dict[str, int] = {}
+        for entry in self._queued:
+            per_tenant[entry.tenant] = per_tenant.get(entry.tenant, 0) + 1
+        return len(self._queued), per_tenant
 
     def queue_position(self, seq: int) -> Optional[int]:
         """0-based position in the queue, or None once dequeued."""
-        with self._lock:
-            for i, entry in enumerate(self._queued):
-                if entry.seq == seq:
-                    return i
-            return None
+        for i, entry in enumerate(self._queued):
+            if entry.seq == seq:
+                return i
+        return None
 
     def stats(self) -> Dict[str, object]:
-        with self._lock:
-            return {
-                "queued": len(self._queued),
-                "running": len(self._running),
-                "workers": self.total_workers,
-                "busy_workers": sum(e.cost
-                                    for e in self._running.values()),
-                "in_use": dict(self._in_use),
-                "vtime": dict(self._vtime),
-                "rounds": self._rounds,
-            }
+        return {
+            "queued": len(self._queued),
+            "running": len(self._running),
+            "workers": self.total_workers,
+            "busy_workers": sum(e.cost for e in self._running.values()),
+            "in_use": dict(self._in_use),
+            "vtime": dict(self._vtime),
+            "rounds": self._rounds,
+        }
 
     def __repr__(self) -> str:
         s = self.stats()

@@ -10,18 +10,21 @@ import json
 import multiprocessing
 import os
 import pathlib
+import re
 import sys
 import threading
 import time
 
 import pytest
 
-from repro.errors import DeadlineExceeded, FlowError, ServiceError
+from repro.errors import (DeadlineExceeded, FlowError, OverloadedError,
+                          ServiceError)
 from repro.service import (
     CompileRequest,
     CompileService,
     ServiceConfig,
 )
+from repro.service.core import RequestOutcome
 
 APP = "digit-recognition"
 EFFORT = 0.1
@@ -30,6 +33,13 @@ EFFORT = 0.1
 def manifest_bytes(build) -> bytes:
     return json.dumps(build.manifest(), indent=2,
                       sort_keys=True).encode()
+
+
+class NoopService(CompileService):
+    """A service whose requests compile nothing: they return at once."""
+
+    def _execute(self, ticket):
+        return RequestOutcome(ticket=ticket.id, kind="compile")
 
 
 # --------------------------------------------------------------------------
@@ -55,10 +65,25 @@ class TestTickets:
             with pytest.raises(ServiceError, match="unknown ticket"):
                 service.status("t9999")
 
-    def test_unknown_flow_rejected_at_submit(self):
-        with CompileService(ServiceConfig()) as service:
-            with pytest.raises(ServiceError, match="unknown flow"):
-                service.submit(CompileRequest(app=APP, flow="gpu"))
+    @pytest.mark.parametrize("fields, message", [
+        ({"flow": "gpu"}, "unknown flow"),
+        ({"priority": "urgent"}, "unknown priority class"),
+        ({"session": "../escape"}, "bad session name"),
+        ({"session": "s", "flow": "o3"}, "leased sessions compile"),
+        ({"edit_operator": "first-hw"}, "needs a session"),
+    ], ids=["unknown-flow", "unknown-priority", "bad-session-name",
+            "session-on-o3", "edit-without-session"])
+    def test_bad_request_rejected_at_submit(self, fields, message):
+        """The submit gate: a malformed request raises
+        ``kind="bad-request"`` from ``submit`` itself, before admission
+        counts it or a ticket number is taken."""
+        with NoopService(ServiceConfig()) as service:
+            counters = service.stats()["admission"]["counters"]
+            with pytest.raises(ServiceError, match=message) as err:
+                service.submit(CompileRequest(app=APP, **fields))
+            assert err.value.kind == "bad-request"
+            assert service.stats()["admission"]["counters"] == counters
+            assert service.submit(CompileRequest(app=APP)) == "t0001"
 
     def test_failure_reraised_by_result(self):
         with CompileService(ServiceConfig()) as service:
@@ -75,10 +100,10 @@ class TestTickets:
             service.submit(CompileRequest(app=APP))
 
     def test_submit_preempted_after_enqueue_still_runs(self, monkeypatch):
-        """A dispatcher that acquires the scheduler entry before
-        ``submit`` returns still runs the request: the entry carries
-        its ticket.  Regression: the ticket was registered only after
-        the enqueue, so the dispatcher released the entry as
+        """A slow enqueue still runs the request: the scheduler entry
+        carries its ticket, registered under the same lock.
+        Regression: the ticket was registered only after the enqueue,
+        so a worker that took the entry first released it as
         cancelled and the ticket stayed queued forever."""
         from repro.service.scheduler import RequestScheduler
 
@@ -86,7 +111,7 @@ class TestTickets:
 
         def slow_submit(self, *args, **kwargs):
             entry = enqueue(self, *args, **kwargs)
-            time.sleep(0.5)        # longer than the dispatcher's idle wait
+            time.sleep(0.5)
             return entry
 
         monkeypatch.setattr(RequestScheduler, "submit", slow_submit)
@@ -98,12 +123,6 @@ class TestTickets:
     def test_concurrent_submits_all_run(self):
         """Submits from more threads than cores, under a short switch
         interval, each run exactly once and deliver their own ticket."""
-        from repro.service.core import RequestOutcome
-
-        class NoopService(CompileService):
-            def _execute(self, ticket):
-                return RequestOutcome(ticket=ticket.id, kind="compile")
-
         outcomes, errors = [], []
 
         def client(service):
@@ -133,6 +152,126 @@ class TestTickets:
         assert len(outcomes) == 200
         assert all(ticket == delivered for ticket, delivered in outcomes)
         assert len({ticket for ticket, _ in outcomes}) == 200
+
+    def test_concurrent_submits_respect_the_queue_bound(self, monkeypatch):
+        """Submits from 8 threads under a short switch interval against
+        ``max_queued=3``, with every request held running: the queue
+        never outgrows its bound, each attempt is admitted or rejected
+        exactly once, and every admitted ticket runs exactly once."""
+        from repro.service.scheduler import RequestScheduler
+
+        enqueue = RequestScheduler.submit
+        depths = []
+
+        def recording_submit(self, *args, **kwargs):
+            entry = enqueue(self, *args, **kwargs)
+            depths.append(self.queued_counts()[0])
+            return entry
+
+        monkeypatch.setattr(RequestScheduler, "submit", recording_submit)
+        release = threading.Event()
+        ran, admitted, rejected = [], [], []
+
+        class HeldService(CompileService):
+            def _execute(self, ticket):
+                release.wait(30)
+                ran.append(ticket.id)
+                return RequestOutcome(ticket=ticket.id, kind="compile")
+
+        def client(service):
+            for _ in range(10):
+                try:
+                    admitted.append(service.submit(CompileRequest(
+                        app=APP, flow="o0", priority="deadline")))
+                except OverloadedError:
+                    rejected.append(1)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with HeldService(ServiceConfig(slots=1,
+                                           max_queued=3)) as service:
+                try:
+                    threads = [threading.Thread(target=client,
+                                                args=(service,))
+                               for _ in range(8)]
+                    for thread in threads:
+                        thread.start()
+                    for thread in threads:
+                        thread.join(timeout=60)
+                    assert not any(thread.is_alive()
+                                   for thread in threads)
+                    counters = service.stats()["admission"]["counters"]
+                finally:
+                    release.set()
+                for ticket in admitted:
+                    assert service.result(ticket, timeout=30).ticket \
+                        == ticket
+        finally:
+            sys.setswitchinterval(interval)
+        assert max(depths) <= 3
+        assert len(admitted) + len(rejected) == 80
+        assert counters["admitted"] == len(admitted)
+        assert counters["rejected"] == len(rejected)
+        assert sorted(ran) == sorted(admitted)
+        assert len(set(ran)) == len(ran)
+
+    def test_submit_wakes_an_idle_worker_at_once(self, monkeypatch):
+        """No lost wakeup: a submit that lands while the idle worker is
+        between an empty ``acquire`` and its wait still wakes it.
+        Regression: the dispatcher acquired outside the lock it then
+        waited on, so such a submit waited out its 0.2 s poll."""
+        from repro.service.scheduler import RequestScheduler
+
+        acquire = RequestScheduler.acquire
+        seen_entry, parked, submitted = (threading.Event(),
+                                         threading.Event(),
+                                         threading.Event())
+
+        def parking_acquire(self):
+            entry = acquire(self)
+            if entry is not None:
+                seen_entry.set()
+            elif seen_entry.is_set() and not parked.is_set():
+                # The first empty acquire after a request ran: hold
+                # the window open until the next submit has returned
+                # (bounded, since a worker calling under the service
+                # lock keeps that submit out meanwhile).
+                parked.set()
+                submitted.wait(timeout=0.5)
+            return entry
+
+        monkeypatch.setattr(RequestScheduler, "acquire", parking_acquire)
+        with NoopService(ServiceConfig()) as service:
+            service.result(service.submit(CompileRequest(app=APP)),
+                           timeout=10)
+            assert parked.wait(timeout=10)
+            ticket = service.submit(CompileRequest(app=APP))
+            start = time.perf_counter()
+            submitted.set()
+            service.result(ticket, timeout=10)
+            elapsed = time.perf_counter() - start
+        assert elapsed < 0.1, f"submit-to-result took {elapsed:.3f}s"
+
+    def test_request_runs_on_a_named_worker(self):
+        """A request runs on a worker named ``pld-request-<ticket>``
+        (the name the benchmark's span attribution reads); an idle
+        worker is ``pld-worker-<n>``."""
+        names = []
+
+        class NamingService(CompileService):
+            def _execute(self, ticket):
+                names.append(threading.current_thread().name)
+                return RequestOutcome(ticket=ticket.id, kind="compile")
+
+        with NamingService(ServiceConfig(slots=2)) as service:
+            ticket = service.submit(CompileRequest(app=APP))
+            service.result(ticket, timeout=10)
+            assert names == [f"pld-request-{ticket}"]
+            assert service.wait_idle(timeout=10)
+            idle = [worker.name for worker in service._workers]
+        assert sorted(idle) == ["pld-worker-0", "pld-worker-1"]
+        assert not any(re.match(r"^pld-request-", name) for name in idle)
 
 
 # --------------------------------------------------------------------------
@@ -288,11 +427,11 @@ class TestSessionLeases:
     def test_bad_session_names_rejected(self, tmp_path):
         with CompileService(ServiceConfig(cache_dir=str(tmp_path))) as service:
             for bad in ("../escape", ".hidden", "a/b"):
-                ticket = service.submit(
-                    CompileRequest(app=APP, effort=EFFORT, session=bad))
                 with pytest.raises(ServiceError,
-                                   match="bad session name"):
-                    service.result(ticket, timeout=60)
+                                   match="bad session name") as err:
+                    service.submit(
+                        CompileRequest(app=APP, effort=EFFORT, session=bad))
+                assert err.value.kind == "bad-request"
 
     def test_interrupted_session_resumes_bit_identical(self, tmp_path):
         # A clean run, whose journal we then truncate to look as if

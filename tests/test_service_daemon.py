@@ -8,6 +8,7 @@ the session journal, bit-identical manifest.
 """
 
 import json
+import math
 import os
 import re
 import signal
@@ -19,16 +20,18 @@ from pathlib import Path
 
 import pytest
 
-from repro.errors import ServiceError, TransportError
+from repro.errors import OverloadedError, ServiceError, TransportError
 from repro.service import ServiceClient
 from repro.service.core import (CompileService, RequestOutcome,
                                 ServiceConfig)
 from repro.service.daemon import (DISCONNECT_POLL_SECONDS, ServeDaemon,
                                   serve)
+from repro.service.overload import EWMA_TAU_SECONDS
 from repro.store import ArtifactStore
 from repro.store.remote import StoreServer
 
 APP = "digit-recognition"
+CHEAP_APP = "spam-filter"
 EFFORT = 0.1
 REPO = Path(__file__).resolve().parent.parent
 
@@ -1037,7 +1040,7 @@ class TestSigtermDrain:
     """Acceptance: SIGTERM while a build is in flight → the daemon
     finishes the build, answers new submits ``kind="draining"``, exits
     0, and a peer daemon over the same fleet picks the session up
-    bit-identically — the same scenario the CI overload-smoke job runs."""
+    bit-identically."""
 
     def test_sigterm_drains_and_peer_adopts(self, tmp_path):
         shards, urls = [], []
@@ -1105,3 +1108,82 @@ class TestSigtermDrain:
             for proc in shards:
                 proc.kill()
                 proc.wait(timeout=10)
+
+
+@pytest.mark.slow
+class TestOverloadSmoke:
+    """Admission, brownout and drain through the real ``pld serve``
+    parser and process: a batch flood sheds with ``retry_after``,
+    sustained depth enters brownout and decay exits it (both trace
+    instants land in ``--trace``), ``submit(wait=...)`` rides the hint
+    back in, and SIGTERM answers submits ``kind="draining"`` with the
+    ``--peer`` hints before the daemon exits 0."""
+
+    PEER = "127.0.0.1:7452"
+
+    def test_flood_sheds_browns_out_and_drains(self, tmp_path):
+        trace = tmp_path / "overload-trace.json"
+        proc, port, _ = _spawn_daemon(
+            tmp_path / "state", "--slots", "1", "--max-queued", "3",
+            "--brownout-high", "1", "--brownout-low", "0.5",
+            "--peer", self.PEER, "--trace", str(trace))
+        try:
+            client = ServiceClient("127.0.0.1", port, timeout=120.0)
+            request = {"flow": "o0", "effort": EFFORT,
+                       "priority": "batch"}
+            tickets, sheds = [], 0
+            for _ in range(12):
+                try:
+                    tickets.append(client.submit(CHEAP_APP, **request))
+                except OverloadedError as exc:
+                    sheds += 1
+                    assert exc.retry_after > 0
+            assert sheds > 0, "flood never shed"
+            assert tickets, "flood admitted nothing"
+            health = client.health()
+            assert health["live"] and health["ready"]
+            assert health["brownout"], \
+                "sustained flood never entered brownout"
+            tickets.append(client.submit(CHEAP_APP, wait=120.0,
+                                         **request))
+            for ticket in tickets:
+                summary, _ = client.result(ticket, timeout=120)
+                assert summary["ok"]
+            counters = client.stats()["admission"]["counters"]
+            assert counters["shed_batch"] >= sheds
+            assert counters["brownout_enters"] >= 1
+
+            # The queue depth EWMA never exceeds the bound of 3; wait
+            # out its decay to below --brownout-low, so the next
+            # submit's depth sample ends brownout.
+            time.sleep(EWMA_TAU_SECONDS * math.log(3 / 0.5) + 0.5)
+            ticket = client.submit(CHEAP_APP, effort=EFFORT,
+                                   session="dev")
+            deadline = time.monotonic() + 60
+            while client.status(ticket)["state"] == "queued":
+                assert time.monotonic() < deadline, "build never started"
+                time.sleep(0.05)
+            proc.send_signal(signal.SIGTERM)
+            deadline = time.monotonic() + 10
+            health = client.health()
+            while not health["draining"]:
+                assert time.monotonic() < deadline, "SIGTERM never drained"
+                time.sleep(0.05)
+                health = client.health()
+            assert health["live"] and not health["ready"]
+            with pytest.raises(ServiceError) as exc:
+                client.submit(CHEAP_APP, effort=EFFORT)
+            assert exc.value.kind == "draining"
+            assert exc.value.peers == (self.PEER,)
+            summary, _ = client.result(ticket, timeout=120)
+            assert summary["ok"]
+            client.close()
+            assert proc.wait(timeout=60) == 0, \
+                "SIGTERM drain did not exit cleanly"
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+            proc.wait(timeout=30)
+        names = {event.get("name") for event in
+                 json.loads(trace.read_text())["traceEvents"]}
+        assert {"brownout:enter", "brownout:exit"} <= names

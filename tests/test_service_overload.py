@@ -498,7 +498,8 @@ class TestTicketGC:
             # One running + several queued, all over the cap of 1.
             tickets = [svc.submit(CompileRequest(app=APP, flow="o0"))
                        for _ in range(5)]
-            svc._gc_tickets()
+            with svc._lock:
+                svc._gc_tickets()
             assert all(t in svc._tickets for t in tickets)
             release.set()
             # The in-flight work still resolves; only *finished*

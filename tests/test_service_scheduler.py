@@ -128,29 +128,31 @@ class TestQuotaContainment:
 
 class TestSchedulerAPI:
     def test_bad_priority_rejected(self):
-        sched = RequestScheduler(total_workers=2)
-        with pytest.raises(ServiceError, match="priority"):
-            sched.submit("t", priority="urgent")
+        """The service's submit gate rejects an unknown priority class;
+        the scheduler, a plain data structure, never sees it."""
+        from repro.service import (CompileRequest, CompileService,
+                                   ServiceConfig)
+
+        with CompileService(ServiceConfig()) as service:
+            with pytest.raises(ServiceError, match="priority") as err:
+                service.submit(CompileRequest(app="spam-filter",
+                                              priority="urgent"))
+            assert err.value.kind == "bad-request"
+            assert service.scheduler.stats()["queued"] == 0
 
     def test_release_unknown_rejected(self):
         sched = RequestScheduler(total_workers=2)
         with pytest.raises(ServiceError, match="unknown"):
             sched.release(99)
 
-    def test_cancel_queued(self):
-        sched = RequestScheduler(total_workers=1)
-        entry = sched.submit("t")
-        assert sched.queue_position(entry.seq) == 0
-        assert sched.cancel(entry.seq)
-        assert sched.acquire() is None
-        assert not sched.cancel(entry.seq)
-
     def test_earliest_deadline_first_within_class(self):
         sched = RequestScheduler(total_workers=1)
         late = sched.submit("t", deadline_at=50.0)
         early = sched.submit("t", deadline_at=10.0)
+        assert sched.queue_position(late.seq) == 0
         got = sched.acquire()
         assert got.seq == early.seq
+        assert sched.queue_position(early.seq) is None
         sched.release(got.seq)
         assert sched.acquire().seq == late.seq
 
