@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import pickle
 import threading
 import time
 from collections import OrderedDict
@@ -78,25 +77,18 @@ class BuildCache:
 
     Args:
         max_entries: cap on cached artefacts (None = unbounded).
-        max_bytes: cap on the summed pickled size of cached artefacts
-            (None = no byte accounting; sizes are only computed when a
-            byte limit is set).
 
     A lookup counts a hit or a miss in :meth:`get`; :meth:`put` only
     inserts, so warming the cache externally never inflates the miss
     count (hit-rate stats stay honest).
     """
 
-    def __init__(self, max_entries: Optional[int] = None,
-                 max_bytes: Optional[int] = None):
+    def __init__(self, max_entries: Optional[int] = None):
         self.entries: "OrderedDict[str, Any]" = OrderedDict()
         self.max_entries = max_entries
-        self.max_bytes = max_bytes
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.total_bytes = 0
-        self._sizes: Dict[str, int] = {}
 
     def peek(self, key: str):
         """Lookup without touching the hit/miss counters (LRU still
@@ -116,24 +108,11 @@ class BuildCache:
 
     def put(self, key: str, artefact) -> None:
         if key in self.entries:
-            self.total_bytes -= self._sizes.pop(key, 0)
             del self.entries[key]
         self.entries[key] = artefact
-        if self.max_bytes is not None:
-            size = len(pickle.dumps(artefact,
-                                    protocol=pickle.HIGHEST_PROTOCOL))
-            self._sizes[key] = size
-            self.total_bytes += size
-        self._evict()
-
-    def _evict(self) -> None:
-        while ((self.max_entries is not None
-                and len(self.entries) > self.max_entries)
-               or (self.max_bytes is not None
-                   and self.total_bytes > self.max_bytes
-                   and len(self.entries) > 1)):
-            victim, _ = self.entries.popitem(last=False)
-            self.total_bytes -= self._sizes.pop(victim, 0)
+        while self.max_entries is not None \
+                and len(self.entries) > self.max_entries:
+            self.entries.popitem(last=False)
             self.evictions += 1
 
     def stats(self) -> Dict[str, int]:

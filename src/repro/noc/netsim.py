@@ -18,22 +18,6 @@ a cycle is a couple of dict lookups per in-flight packet instead of
 per-cycle :class:`SwitchId` construction and routing geometry.  The
 tables are pure caches — results are bit-identical to the naive
 geometry walk, which the equivalence tests assert.
-
-Two routers step the network, chosen by its size:
-
-* below :data:`VECTOR_MIN_LEAVES` leaves, the loop above: one dict/list
-  operation per packet per cycle.
-* from :data:`VECTOR_MIN_LEAVES` leaves up, all in-flight packets live
-  in numpy columns (slot/dest/age/hops, plus an index into a stable
-  packet-object store); routing class selection, age-ordered
-  arbitration (a stable ``lexsort`` reproduces the per-switch sort
-  exactly) and deflection resolution are whole-array operations per
-  cycle.  Per cycle Python touches only actual deliveries and
-  injections, so the cost is ~flat in the in-flight count — the win
-  grows with network size, but the fixed per-cycle array overhead
-  loses on small networks.  Deliveries, deflection counts, latencies
-  and fault outcomes are bit-identical on both paths (pinned by the
-  golden tests, which run on both).
 """
 
 from __future__ import annotations
@@ -53,12 +37,6 @@ _UP = "up"
 _DOWN = "down"
 
 _AGE = operator.attrgetter("age")
-
-#: Padded leaf count (:attr:`BFTopology.size`) from which the simulator
-#: takes the numpy router.  Measured crossover: the vector router loses
-#: at 8-64 leaves and wins from 128 up (EXPERIMENTS.md), so the U50 and
-#: U280 overlays stay on the per-packet loop and the VU19P goes vector.
-VECTOR_MIN_LEAVES = 128
 
 
 @dataclass
@@ -126,7 +104,6 @@ class NetworkSimulator:
         self._accepted_events = 0
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._retrans_seen = 0
-        self._vector = topology.size >= VECTOR_MIN_LEAVES
         self._build_tables()
 
     def attach(self, iface: LeafInterface) -> None:
@@ -194,90 +171,11 @@ class NetworkSimulator:
         self._ifaces = tuple(self.leaves.values())
         self._reliable_ifaces = tuple(
             iface for iface in self.leaves.values() if iface.reliable)
-        if self._vector:
-            self._build_vector_tables()
-
-    def _build_vector_tables(self) -> None:
-        """Recast the routing tables as numpy columns.
-
-        Slot ids index ``_slot_switch`` (arrival-switch row, or -1 when
-        the slot delivers) and ``_slot_leaf`` (delivery leaf, or -1).
-        Switch rows index the subtree bounds and a ``(3 classes x 3
-        candidates)`` table padded with -1 — class 0/1/2 are
-        covered-left / covered-right / climb, mirroring the scalar
-        candidate tuples element for element.
-        """
-        import numpy as np
-
-        self._np = np
-        buffer_row = {id(entry[0]): row
-                      for row, entry in enumerate(self._route_entries)}
-        n_slots = len(self._slot_keys)
-        slot_switch = np.full(n_slots, -1, np.int64)
-        slot_leaf = np.full(n_slots, -1, np.int64)
-        for sid, (to_leaf, target) in enumerate(self._dest):
-            if to_leaf:
-                slot_leaf[sid] = target
-            else:
-                slot_switch[sid] = buffer_row[id(target)]
-        n_switches = len(self._route_entries)
-        lo = np.empty(n_switches, np.int64)
-        mid = np.empty(n_switches, np.int64)
-        hi = np.empty(n_switches, np.int64)
-        cand = np.full((n_switches, 3, 3), -1, np.int64)
-        for row, entry in enumerate(self._route_entries):
-            lo[row], mid[row], hi[row] = entry[2], entry[3], entry[4]
-            for cls in range(3):
-                slots = entry[5 + cls]
-                cand[row, cls, :len(slots)] = slots
-        self._slot_switch = slot_switch
-        self._slot_leaf = slot_leaf
-        self._sw_lo = lo
-        self._sw_mid = mid
-        self._sw_hi = hi
-        self._cand_table = cand
-        self._cand_flat = cand.reshape(-1, 3)
-        # Per-leaf tables for the delivery/injection loops.  ``pos`` is
-        # the leaf's position in _leaf_entries: scalar injections enter
-        # next_flight in that order, and each leaf injects at most one
-        # packet per cycle, so sorting vector injections by pos
-        # reproduces the scalar insertion order exactly.
-        size = self.topology.size
-        by_no = [self.leaves[i] for i in range(size)]
-        self._vleaf_by_no = by_no
-        self._vleaf_fast = np.array(
-            [not iface.reliable for iface in by_no], dtype=bool)
-        upslot = np.zeros(size, np.int64)
-        pos_of = np.zeros(size, np.int64)
-        for pos, (leaf, _iface, key) in enumerate(self._leaf_entries):
-            upslot[leaf] = key
-            pos_of[leaf] = pos
-        self._vleaf_upslot = upslot
-        self._vleaf_pos = pos_of
-        self._vleaf_entries = [
-            (leaf, iface, key, iface.reliable, iface.outbox, pos)
-            for pos, (leaf, iface, key) in enumerate(self._leaf_entries)]
-        # Flight state survives an attach()-triggered table rebuild
-        # (slot interning is deterministic, so the ids stay valid).
-        if not hasattr(self, "_vpidx"):
-            self._vstore: List[Packet] = []
-            empty = np.zeros(0, np.int64)
-            self._vpidx = empty
-            self._vslot = empty.copy()
-            self._vdest = empty.copy()
-            self._vage = empty.copy()
-            self._vhops = empty.copy()
 
     # -- one simulation step -----------------------------------------------
 
     def step(self) -> None:
         """Advance one clock cycle."""
-        if self._vector:
-            self._step_vector()
-        else:
-            self._step_scalar()
-
-    def _step_scalar(self) -> None:
         next_flight: Dict[int, Packet] = {}
         dest = self._dest
 
@@ -341,201 +239,6 @@ class NetworkSimulator:
                     next_flight[key] = packet
 
         self._in_flight = next_flight
-        self.cycle = cycle + 1
-        self._service_reliability()
-
-    def _step_vector(self) -> None:
-        """One cycle over the numpy flight columns.
-
-        The in-flight set is four aligned int64 columns (slot, dest,
-        age, hops) plus ``_vpidx`` — an index into the append-only
-        ``_vstore`` packet-object list, so reordering the flight each
-        cycle is a numpy gather instead of a Python list rebuild.
-        Column order *is* the scalar ``_in_flight`` dict insertion
-        order; a stable ``lexsort`` on (switch row, -age) therefore
-        reproduces the scalar per-switch age sort, including its
-        arrival-order tie-breaks.  Python-level work per cycle is
-        limited to actual deliveries and leaf injections.
-        """
-        np = self._np
-        store = self._vstore
-        pidx = self._vpidx
-        age = self._vage
-        hops = self._vhops
-        dest = self._vdest
-        # Bounce fast path: the scalar path's deliver()/push_front()/
-        # pop_injection() round-trip for a mis-deflected packet at a
-        # non-reliable, fault-free leaf reduces to ``bounced += 1;
-        # sent += 1`` and the packet re-entering flight on that leaf's
-        # up-link with dest/age/hops/injected_at unchanged — so those
-        # rows never leave the arrays.  ``b_cols`` holds their spliced
-        # columns (pidx, slot, dest, age, hops, leaf pos).
-        bounced_leaves: set = set()
-        b_cols = None
-        if pidx.size:
-            slot = self._vslot
-            sw = self._slot_switch[slot]
-            deliver_idx = np.flatnonzero(sw < 0)
-            if deliver_idx.size:
-                dleaf = self._slot_leaf[slot[deliver_idx]]
-                ddest = dest[deliver_idx]
-                if self.faults is None:
-                    bounce_m = (ddest != dleaf) & self._vleaf_fast[dleaf]
-                    n_bounce = int(bounce_m.sum())
-                else:
-                    bounce_m = None
-                    n_bounce = 0
-                if n_bounce < deliver_idx.size:
-                    slow = (deliver_idx if bounce_m is None
-                            else deliver_idx[~bounce_m])
-                    s_leaf = (dleaf if bounce_m is None
-                              else dleaf[~bounce_m]).tolist()
-                    s_pidx = pidx[slow].tolist()
-                    s_age = age[slow].tolist()
-                    s_hops = hops[slow].tolist()
-                    for k, leaf in enumerate(s_leaf):
-                        # Sync the object before handing it back to the
-                        # leaf: a bounced packet keeps its age priority.
-                        packet = store[s_pidx[k]]
-                        packet.age = s_age[k]
-                        packet.hops = s_hops[k]
-                        self._deliver(packet, leaf)
-                if n_bounce:
-                    b_idx = deliver_idx[bounce_m]
-                    b_leaf = dleaf[bounce_m]
-                    by_no = self._vleaf_by_no
-                    leaves = b_leaf.tolist()
-                    for leaf in leaves:
-                        iface = by_no[leaf]
-                        iface.bounced += 1
-                        iface.sent += 1
-                    bounced_leaves = set(leaves)
-                    b_cols = (pidx[b_idx],
-                              self._vleaf_upslot[b_leaf],
-                              ddest[bounce_m],
-                              age[b_idx],
-                              hops[b_idx],
-                              self._vleaf_pos[b_leaf])
-            route_idx = np.flatnonzero(sw >= 0)
-        else:
-            route_idx = pidx
-        if route_idx.size:
-            rage = age[route_idx] + 1
-            rhops = hops[route_idx] + 1
-            rsw = sw[route_idx]
-            # Stable sort by (switch row, age desc), arrival-order ties
-            # — one composite int64 key beats a two-key lexsort.  Ages
-            # stay far below 2**40 (the cycle limit bounds them).
-            order = np.argsort((rsw << 40) - rage, kind="stable")
-            sidx = route_idx[order]
-            ssw = rsw[order]
-            n = ssw.size
-            positions = np.arange(n)
-            group_start = np.empty(n, bool)
-            group_start[0] = True
-            if n > 1:
-                group_start[1:] = ssw[1:] != ssw[:-1]
-            # Rank of each packet within its switch's age-sorted
-            # arrivals: position minus the position of the group head.
-            rank = positions - np.maximum.accumulate(
-                np.where(group_start, positions, 0))
-            rdest = dest[sidx]
-            covered = (self._sw_lo[ssw] <= rdest) \
-                & (rdest < self._sw_hi[ssw])
-            cls = np.where(covered,
-                           np.where(rdest < self._sw_mid[ssw], 0, 1), 2)
-            cands = self._cand_flat[ssw * 3 + cls]
-            first = cands[:, 0]
-            chosen = first.copy()
-            # Rank 1 defers to its group head (the previous sorted row);
-            # rank 2 to the two rows before it.  Candidates within a
-            # class are distinct, so "first not taken" is closed-form.
-            rank1 = np.flatnonzero(rank == 1)
-            if rank1.size:
-                t0 = chosen[rank1 - 1]
-                c0 = cands[rank1, 0]
-                chosen[rank1] = np.where(c0 != t0, c0, cands[rank1, 1])
-            rank2 = np.flatnonzero(rank == 2)
-            if rank2.size:
-                t0 = chosen[rank2 - 2]
-                t1 = chosen[rank2 - 1]
-                c0 = cands[rank2, 0]
-                c1 = cands[rank2, 1]
-                free0 = (c0 != t0) & (c0 != t1)
-                free1 = ~free0 & (c1 != t0) & (c1 != t1)
-                chosen[rank2] = np.where(
-                    free0, c0, np.where(free1, c1, cands[rank2, 2]))
-            if int(rank.max()) > 2 or (chosen < 0).any():
-                row = int(ssw[int(rank.argmax())])
-                raise NoCError(
-                    f"{self._route_entries[row][1]}: no free output — "
-                    f"switch radix violated")
-            self.total_deflections += int((chosen != first).sum())
-            new_pidx = pidx[sidx]
-            new_slot = chosen
-            new_dest = rdest
-            new_age = rage[order]
-            new_hops = rhops[order]
-        else:
-            empty = pidx[:0]
-            new_pidx = new_slot = new_dest = empty
-            new_age = new_hops = empty
-
-        # Leaf injections, in _leaf_entries order exactly as the scalar
-        # loop: switch outputs never target leaf up-links, so the slot
-        # is always free.  A leaf with a fast-pathed bounce re-injects
-        # that packet (it sits at the head of the scalar outbox) and
-        # must not pop its own traffic this cycle; fresh injections and
-        # bounce rows are merged by leaf position afterwards.
-        cycle = self.cycle
-        faults = self.faults
-        inj: List[Tuple[int, int, int, int, int, int]] = []
-        for leaf_no, iface, key, rel, outbox, pos in self._vleaf_entries:
-            if leaf_no in bounced_leaves or not outbox:
-                continue
-            # Inlined pop_injection(): count it sent, pop the head.
-            iface.sent += 1
-            packet = outbox.popleft()
-            if packet.injected_at < 0:
-                packet.injected_at = cycle
-            if rel:
-                iface.note_transmitted(packet, cycle)
-            if faults is not None:
-                packet = self._inject_faults(packet, leaf_no)
-                if packet is None:
-                    continue
-            inj.append((len(store), key, packet.dest_leaf,
-                        packet.age, packet.hops, pos))
-            store.append(packet)
-        if inj or b_cols is not None:
-            if inj:
-                cols = tuple(zip(*inj))
-                fresh = [np.asarray(c, np.int64) for c in cols]
-                if b_cols is not None:
-                    parts = [np.concatenate(bf)
-                             for bf in zip(b_cols, fresh)]
-                else:
-                    parts = fresh
-            else:
-                parts = list(b_cols)
-            if parts[5].size > 1:
-                perm = np.argsort(parts[5], kind="stable")
-                parts = [col[perm] for col in parts[:5]]
-            new_pidx = np.concatenate([new_pidx, parts[0]])
-            new_slot = np.concatenate([new_slot, parts[1]])
-            new_dest = np.concatenate([new_dest, parts[2]])
-            new_age = np.concatenate([new_age, parts[3]])
-            new_hops = np.concatenate([new_hops, parts[4]])
-        self._vpidx = new_pidx
-        self._vslot = new_slot
-        self._vdest = new_dest
-        self._vage = new_age
-        self._vhops = new_hops
-        if len(store) > 1024 and len(store) > 8 * new_pidx.size:
-            # Drop delivered packets from the store now and then so a
-            # long run does not hold every packet ever injected.
-            self._vstore = [store[i] for i in new_pidx.tolist()]
-            self._vpidx = np.arange(len(self._vstore), dtype=np.int64)
         self.cycle = cycle + 1
         self._service_reliability()
 
@@ -613,7 +316,7 @@ class NetworkSimulator:
             if self.cycle >= max_cycles:
                 raise NoCError(
                     f"network did not drain within {max_cycles} cycles")
-            busy = self._has_in_flight()
+            busy = bool(self._in_flight)
             if not busy:
                 for iface in self._ifaces:
                     if iface.outbox or (iface.reliable
@@ -642,19 +345,6 @@ class NetworkSimulator:
         """
         return self._accepted_events
 
-    def _has_in_flight(self) -> bool:
-        if self._vector:
-            return self._vpidx.size > 0
-        return bool(self._in_flight)
-
-    def _in_flight_items(self) -> List[Tuple[int, Packet]]:
-        """(slot id, packet) pairs for diagnostics, either router."""
-        if self._vector:
-            store = self._vstore
-            return [(sid, store[p]) for sid, p in
-                    zip(self._vslot.tolist(), self._vpidx.tolist())]
-        return list(self._in_flight.items())
-
     def _raise_watchdog(self) -> None:
         blocked = sorted(
             f"leaf{no}" for no, iface in self.leaves.items()
@@ -667,7 +357,7 @@ class NetworkSimulator:
                 f":port{pkt.dest_port}"
                 for key, pkt in sorted(
                     ((self._slot_keys[sid], pkt)
-                     for sid, pkt in self._in_flight_items()),
+                     for sid, pkt in self._in_flight.items()),
                     key=lambda kv: repr(kv[0]))],
             "outboxes": {f"leaf{no}": len(iface.outbox)
                          for no, iface in sorted(self.leaves.items())

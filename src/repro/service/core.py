@@ -786,11 +786,22 @@ class CompileService:
 
     def close(self, timeout: float = 30.0) -> None:
         """Finish running requests, close sessions, pool and store
-        (idempotent).  Requests still queued are not started."""
+        (idempotent).  Requests still queued are not started: their
+        tickets fail with ``kind="closed"``, so no :meth:`result`
+        waits on them forever."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
+            now = time.monotonic()
+            for entry in self.scheduler.clear_queue():
+                ticket = entry.payload
+                ticket.state = "failed"
+                ticket.error = ServiceError(
+                    f"request {ticket.id} was still queued when the "
+                    f"service shut down", kind="closed")
+                ticket.finished = now
+                ticket.done.set()
             self._wake.notify_all()
         deadline = time.monotonic() + timeout
         for worker in self._workers:

@@ -175,6 +175,12 @@ class RequestScheduler:
         else:
             self._in_use.pop(entry.tenant, None)
 
+    def clear_queue(self) -> List[ScheduledRequest]:
+        """Empty the queue and return what it held (the service is
+        closing: none of it will run)."""
+        queued, self._queued = self._queued, []
+        return queued
+
     # -- introspection -------------------------------------------------------
 
     def queued_counts(self) -> "tuple[int, Dict[str, int]]":

@@ -44,17 +44,14 @@ class ArtifactStore:
         cache_dir: directory for the persistent backend; None keeps the
             store memory-only (still LRU-bounded).
         max_entries: in-memory LRU entry bound.
-        max_bytes: in-memory LRU byte bound (pickled sizes).
 
     The store satisfies the engine-cache contract (``get``/``put``) and
     adds :meth:`stats` with hit/miss/eviction and disk counters.
     """
 
     def __init__(self, cache_dir=None,
-                 max_entries: Optional[int] = DEFAULT_MEMORY_ENTRIES,
-                 max_bytes: Optional[int] = None):
-        self.memory = BuildCache(max_entries=max_entries,
-                                 max_bytes=max_bytes)
+                 max_entries: Optional[int] = DEFAULT_MEMORY_ENTRIES):
+        self.memory = BuildCache(max_entries=max_entries)
         self.cache_dir: Optional[pathlib.Path] = None
         self.hits = 0
         self.misses = 0

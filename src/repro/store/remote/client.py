@@ -57,7 +57,7 @@ from repro.store.serial import (
     decode_artifact,
     encode_artifact,
     pack_artifacts,
-    unpack_artifacts,
+    unpack_artifacts,  # noqa: F401 (a span target of benchmarks/e2e/spans.py)
 )
 from repro.trace import NULL_TRACER
 
@@ -477,57 +477,6 @@ class ShardedStoreClient:
                 if key not in queue:
                     queue.append(key)
 
-    # -- batched traffic -----------------------------------------------------
-
-    def multi_get(self, keys) -> Dict[str, Any]:
-        """Fetch many keys in one frame per owning shard.
-
-        Local hot-tier hits are served first; the remainder groups by
-        rendezvous owner and each shard sees a single ``multi_get``
-        round-trip.  A quarantined or failing shard degrades exactly
-        like :meth:`get` — its keys just come back absent.  Returns
-        ``{key: artifact}`` for everything found.
-        """
-        found: Dict[str, Any] = {}
-        by_shard: Dict[str, List[str]] = {}
-        for key in dict.fromkeys(keys):     # dedup, order-preserving
-            artifact = self.fallback.get(key)
-            if artifact is not None:
-                self.hits += 1
-                self.local_hits += 1
-                found[key] = artifact
-            else:
-                by_shard.setdefault(self.shard_for(key), []).append(key)
-        for url, shard_keys in by_shard.items():
-            items = self._guarded(url, "get", self._remote_multi_get, url,
-                                  shard_keys)
-            if items is _DEGRADED:
-                self.misses += len(shard_keys)
-                continue
-            for key, artifact in items:
-                self.remote_hits += 1
-                self.hits += 1
-                self.fallback.put(key, artifact)
-                found[key] = artifact
-            absent = len(shard_keys) - len(items)
-            self.remote_misses += absent
-            self.misses += absent
-        return found
-
-    def multi_put(self, items: Dict[str, Any]) -> None:
-        """Write many artefacts: local write-through, then one
-        ``multi_put`` frame per owning shard; a failing shard owes all
-        of its batch to the write-behind queue."""
-        by_shard: Dict[str, List[str]] = {}
-        for key, artifact in items.items():
-            self.fallback.put(key, artifact)
-            by_shard.setdefault(self.shard_for(key), []).append(key)
-        for url, shard_keys in by_shard.items():
-            batch = [(key, items[key]) for key in shard_keys]
-            if self._guarded(url, "put", self._remote_multi_put, url,
-                             batch) is _DEGRADED:
-                self._owe(url, *shard_keys)
-
     # -- shard requests (reads hedged) ---------------------------------------
 
     def _remote_get(self, url: str, key: str):
@@ -546,13 +495,6 @@ class ShardedStoreClient:
             return None
         _kind, artifact = decode_artifact(payload, expect_key=key)
         return artifact
-
-    def _remote_multi_get(self, url: str, keys: List[str]):
-        response, payload = self.shards[url].request(
-            "multi_get", extra={"keys": keys})
-        return unpack_artifacts(
-            list(response.get("found", [])),
-            [int(s) for s in response.get("sizes", [])], payload)
 
     def _remote_put(self, url: str, key: str, artifact) -> None:
         self.shards[url].request("put", key, encode_artifact(key, artifact))

@@ -8,15 +8,19 @@ and idempotent — content addressing makes PUT a blind overwrite of
 identical bytes, so clients can retry anything without a dedup
 handshake:
 
-========  ===========================================================
-``ping``  liveness + shard identity (used by breaker half-open probes)
-``get``   one artefact by key; payload is the serial.py encoding
-``put``   store one artefact; the server decodes (re-hash included)
-          before it touches the store, so a corrupt frame never lands
-``keys``  all keys the shard holds (reconciliation and fsck)
-``stats`` the backing store's counters plus server request counters
-``fsck``  run the store doctor on the shard's own directory
-========  ===========================================================
+=============  ======================================================
+``ping``       liveness + shard identity (breaker half-open probes)
+``get``        one artefact by key; payload is the serial.py encoding
+``put``        store one artefact; the server decodes (re-hash
+               included) before it touches the store, so a corrupt
+               frame never lands
+``multi_put``  a batch of puts (the client's write-behind drain); the
+               whole batch decodes before any of it lands
+``keys``       all keys the shard holds (reconciliation and fsck)
+``stats``      the backing store's counters plus server request
+               counters
+``fsck``       run the store doctor on the shard's own directory
+=============  ======================================================
 
 Threading model (:class:`FrameServer`, which the ``pld serve`` daemon
 runs too): one accept loop plus one thread per connection, all
@@ -38,7 +42,7 @@ from repro.store.remote.framing import recv_frame, send_frame
 from repro.store.serial import (
     decode_artifact,
     encode_artifact,
-    pack_artifacts,
+    pack_artifacts,  # noqa: F401 (a span target of benchmarks/e2e/spans.py)
     unpack_artifacts,
 )
 
@@ -301,8 +305,6 @@ class StoreServer(FrameServer):
                 return self._handle_get(key)
             if op == "put":
                 return self._handle_put(key, payload)
-            if op == "multi_get":
-                return self._handle_multi_get(header)
             if op == "multi_put":
                 return self._handle_multi_put(header, payload)
             if op == "keys":
@@ -343,26 +345,6 @@ class StoreServer(FrameServer):
         with self._store_lock:
             self.store.put(key, artifact)
         return {"ok": True, "stored": True}, b""
-
-    def _handle_multi_get(self, header: Dict[str, Any]
-                          ) -> Tuple[Dict[str, Any], bytes]:
-        """Batched get: one frame in, every found artefact back.
-
-        The response header carries parallel ``found``/``sizes`` lists
-        and the payload is the encodings concatenated in that order;
-        keys the shard does not hold are simply absent from ``found``.
-        """
-        keys = header.get("keys", [])
-        if not isinstance(keys, list):
-            raise StoreError("multi_get needs a 'keys' list")
-        items = []
-        with self._store_lock:
-            for key in keys:
-                artifact = self.store.get(str(key))
-                if artifact is not None:
-                    items.append((str(key), artifact))
-        found, sizes, payload = pack_artifacts(items)
-        return {"ok": True, "found": found, "sizes": sizes}, payload
 
     def _handle_multi_put(self, header: Dict[str, Any], payload: bytes
                           ) -> Tuple[Dict[str, Any], bytes]:

@@ -130,7 +130,7 @@ def decode_artifact(data: bytes, expect_key: str = "") -> Tuple[str, Any]:
 
 def pack_artifacts(items: Iterable[Tuple[str, Any]]
                    ) -> Tuple[List[str], List[int], bytes]:
-    """Concatenate encodings for a batched (multi_get/multi_put) frame.
+    """Concatenate encodings for a batched (``multi_put``) frame.
 
     Returns ``(keys, sizes, payload)``: the frame header carries the
     parallel ``keys``/``sizes`` lists and the payload is the encodings

@@ -206,6 +206,53 @@ class TestRemoteStoreCLI:
             for server in servers:
                 server.stop()
 
+    def test_degraded_compile_then_shard_restart(self, tmp_path, capsys):
+        """With one of three shards stopped, a compile finishes
+        degraded: the shard is quarantined and ``--trace`` records the
+        breaker opening.  Restarted on the same port and directory, the
+        shard takes the next compile with nothing quarantined or owed,
+        and ``fsck --shard`` passes on every shard."""
+        import json
+
+        from repro.store import ArtifactStore
+        from repro.store.remote import StoreServer
+
+        servers = [
+            StoreServer(ArtifactStore(
+                cache_dir=tmp_path / f"shard{i}")).start()
+            for i in range(3)]
+        urls = ",".join(server.url for server in servers)
+        host, port = servers[1].address
+
+        def compile_app(tier, *extra):
+            assert main(["compile", "digit-recognition",
+                         "--effort", "0.1", "--store", urls,
+                         "--cache-dir", str(tmp_path / tier),
+                         *extra]) == 0
+            return capsys.readouterr().out
+
+        try:
+            servers[1].stop()
+            trace = tmp_path / "degraded-trace.json"
+            out = compile_app("tier-c", "--trace", str(trace))
+            assert "1 shard(s) quarantined" in out
+            events = json.loads(trace.read_text())["traceEvents"]
+            names = {event.get("name", "") for event in events}
+            assert any(n.startswith("shard:breaker-open:") for n in names)
+            assert any(n.startswith("shard:degraded:") for n in names)
+
+            servers[1] = StoreServer(
+                ArtifactStore(cache_dir=tmp_path / "shard1"),
+                host=host, port=port).start()
+            out = compile_app("tier-d")
+            assert "0 shard(s) quarantined" in out
+            assert "0 write(s) owed" in out
+            assert main(["fsck", "--shard", urls]) == 0
+            assert capsys.readouterr().out.count(": clean,") == 3
+        finally:
+            for server in servers:
+                server.stop()
+
     def test_edit_with_store_and_no_cache_dir(self, tmp_path, capsys):
         """Regression: ``pld edit --store`` with no ``--cache-dir``
         must run with a memory-only local tier — the service's one

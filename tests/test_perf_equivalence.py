@@ -9,15 +9,14 @@ them down two ways:
   straight transcription of the pre-optimisation ``NetworkSimulator``
   arbitration loop (dict-of-lists gathering, per-packet sorting,
   tuple-keyed link registers).  It is run head-to-head against the
-  production simulator — on both its per-packet and its numpy router
-  — on seeded traffic, including a reliable run under injected faults,
-  and every observable — cycle count, delivered records, deflections,
-  drained tokens, per-leaf stats — must match exactly.  A Hypothesis
-  sweep does the same over random small configs.
+  production simulator on seeded traffic, including a reliable run
+  under injected faults, and every observable — cycle count, delivered
+  records, deflections, drained tokens, per-leaf stats — must match
+  exactly.  A Hypothesis sweep does the same over random small configs.
 
 * **golden pinning** — deterministic fixtures with frozen outputs
   (cycle counts, deflection totals, sha256 digests of record/stat
-  streams) for the NoC (on both routers), the cycle simulator, a full
+  streams) for the NoC, the cycle simulator, a full
   -O0 softcore execution (on both ISS dispatch paths) and one
   place-and-route case.  Any future
   "optimisation" that shifts a single payload, latency or RNG draw
@@ -34,13 +33,11 @@ from __future__ import annotations
 import hashlib
 import random
 from collections import deque
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.noc import netsim
 from repro.noc.bft import BFTopology, SwitchId
 from repro.noc.leaf import LeafInterface
 from repro.noc.netsim import NetworkSimulator
@@ -48,20 +45,6 @@ from repro.noc.packet import AckPacket, DataPacket, Packet
 
 _UP = "up"
 _DOWN = "down"
-
-#: The NetworkSimulator's two router paths.  Every natural fixture here
-#: sits below ``VECTOR_MIN_LEAVES``, so the tests move the threshold to
-#: put the same fixture on either path.
-ROUTERS = ("scalar", "vector")
-
-
-@contextmanager
-def noc_router(name: str) -> Iterator[None]:
-    """Force every NetworkSimulator built inside onto one router path."""
-    threshold = 1 if name == "vector" else 1 << 30
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(netsim, "VECTOR_MIN_LEAVES", threshold)
-        yield
 
 
 def _sha16(value) -> str:
@@ -268,8 +251,8 @@ def _observables(sim, leaves: Dict[int, LeafInterface],
 def _run_head_to_head(n_leaves: int, n_ports: int, per_leaf: int,
                       seed: int, reliable: bool = False,
                       fault_plan=None, retransmit_timeout: int = 64):
-    """Run the reference simulator and both production routers on
-    identical traffic."""
+    """Run the reference and the production simulator on identical
+    traffic."""
     topo = BFTopology(n_leaves)
 
     ref_leaves = _make_leaves(n_leaves, n_ports, per_leaf, seed,
@@ -280,17 +263,15 @@ def _run_head_to_head(n_leaves: int, n_ports: int, per_leaf: int,
     ref_cycles = ref.run(max_cycles=500_000)
     want = _observables(ref, ref_leaves, n_ports)
 
-    for router in ROUTERS:
-        fast_leaves = _make_leaves(n_leaves, n_ports, per_leaf, seed,
-                                   reliable, retransmit_timeout)
-        with noc_router(router):
-            fast = NetworkSimulator(
-                topo, fast_leaves,
-                faults=fault_plan.noc_faults() if fault_plan else None)
-        fast_cycles = fast.run(max_cycles=500_000)
+    fast_leaves = _make_leaves(n_leaves, n_ports, per_leaf, seed,
+                               reliable, retransmit_timeout)
+    fast = NetworkSimulator(
+        topo, fast_leaves,
+        faults=fault_plan.noc_faults() if fault_plan else None)
+    fast_cycles = fast.run(max_cycles=500_000)
 
-        assert fast_cycles == ref_cycles, router
-        assert _observables(fast, fast_leaves, n_ports) == want, router
+    assert fast_cycles == ref_cycles
+    assert _observables(fast, fast_leaves, n_ports) == want
     return want
 
 
@@ -359,21 +340,10 @@ def _golden_drain(n_leaves, n_ports, per_leaf, seed, reliable=False,
     return cycles, sim.total_deflections, records, stats
 
 
-@pytest.fixture(params=ROUTERS)
-def router(request):
-    """Run the test body with the simulator forced onto one router."""
-    with noc_router(request.param):
-        yield request.param
-
-
 class TestGoldenNoC:
-    """Frozen outputs captured from the pre-optimisation simulator.
+    """Frozen outputs captured from the pre-optimisation simulator."""
 
-    Both router paths must reproduce every golden: which one runs
-    depends only on the network's size.
-    """
-
-    def test_drain_small(self, router):
+    def test_drain_small(self):
         cycles, deflections, records, stats = _golden_drain(
             16, 4, 60, 7)
         assert cycles == 312
@@ -382,7 +352,7 @@ class TestGoldenNoC:
         assert _sha16(records) == "e7f0e5fb5c963eae"
         assert _sha16(sorted(stats.items())) == "2790e17254d99daf"
 
-    def test_drain_mid(self, router):
+    def test_drain_mid(self):
         cycles, deflections, records, stats = _golden_drain(
             32, 4, 100, 3)
         assert cycles == 1161
@@ -391,7 +361,7 @@ class TestGoldenNoC:
         assert _sha16(records) == "8f18c85aca854d47"
         assert _sha16(sorted(stats.items())) == "52b695d1fabe0a2a"
 
-    def test_reliable_drain(self, router):
+    def test_reliable_drain(self):
         from repro.faults import FaultPlan
         plan = FaultPlan(seed=11, noc_drop_rate=0.01,
                          noc_corrupt_rate=0.005)

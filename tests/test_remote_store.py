@@ -528,24 +528,36 @@ class TestDegradedMode:
 
     def test_multi_put_owes_dead_shards_batch_until_reconcile(
             self, fleet, tmp_path):
+        """Each put to a dead shard owes its key, in order; reconcile
+        then drains the whole queue in one ``multi_put`` frame."""
         urls = [server.url for server in fleet]
         client = fast_client(
-            urls, retries=1,
+            urls, retries=1, quarantine_seconds=0.0,
             fallback=ArtifactStore(cache_dir=tmp_path / "local"))
         victims = [k for k in KEYS[:40] if client.shard_for(k) == urls[1]]
         assert len(victims) >= 4
         host, port = fleet[1].address
         fleet[1].stop()
-        client.multi_put({key: art(i) for i, key in enumerate(KEYS[:40])})
+        for i, key in enumerate(KEYS[:40]):
+            client.put(key, art(i))
         stats = client.stats()
-        assert stats["degraded_puts"] == 1         # one frame, one shard
+        assert stats["degraded_puts"] == len(victims)
         assert stats["pending"] == {urls[1]: len(victims)}
         with client._pending_lock:
             assert client.pending[urls[1]] == victims
         healed = StoreServer(ArtifactStore(cache_dir=tmp_path / "h"),
                              host=host, port=port).start()
+        ops = []
+        real_request = client.shards[urls[1]].request
+
+        def recording_request(op, *args, **kwargs):
+            ops.append(op)
+            return real_request(op, *args, **kwargs)
+
+        client.shards[urls[1]].request = recording_request
         try:
             assert client.reconcile() == len(victims)
+            assert ops == ["ping", "multi_put"]
             assert client.stats()["pending"] == {}
             assert set(victims) == set(healed.store.keys())
         finally:
@@ -809,12 +821,12 @@ class TestEngineContract:
 
 
 # --------------------------------------------------------------------------
-# batched frames (multi_get / multi_put)
+# batched frames (multi_put)
 # --------------------------------------------------------------------------
 
 
 class TestBatchedFrames:
-    """Round trips of the batched protocol ops, wire-level and client."""
+    """The batched put op that reconcile drains with, wire-level."""
 
     def test_pack_unpack_roundtrip(self):
         from repro.store.serial import pack_artifacts, unpack_artifacts
@@ -846,21 +858,6 @@ class TestBatchedFrames:
         with pytest.raises(StoreError):
             unpack_artifacts(keys, sizes, corrupt)
 
-    def test_multi_get_wire_roundtrip(self, shard):
-        from repro.store.serial import unpack_artifacts
-
-        client = ShardClient(shard.url, retries=2, backoff_base=0.001)
-        for i in range(4):
-            shard.store.put(KEYS[i], art(i))
-        header, payload = client.request(
-            "multi_get", extra={"keys": KEYS[:4] + [KEYS[60]]})
-        assert header["ok"]
-        assert header["found"] == KEYS[:4]        # missing key absent
-        out = dict(unpack_artifacts(header["found"], header["sizes"],
-                                    payload))
-        assert out == {KEYS[i]: art(i) for i in range(4)}
-        client.close()
-
     def test_multi_put_wire_roundtrip(self, shard):
         from repro.store.serial import pack_artifacts
 
@@ -889,34 +886,4 @@ class TestBatchedFrames:
         # Nothing from the bad frame landed — not even the intact item.
         assert shard.store.get(KEYS[0]) is None
         assert shard.store.get(KEYS[1]) is None
-        client.close()
-
-    def test_client_multi_roundtrip_across_shards(self, fleet):
-        urls = [server.url for server in fleet]
-        writer = fast_client(urls)
-        writer.multi_put({KEYS[i]: art(i) for i in range(16)})
-        writer.close()
-
-        # A cold reader pulls every key in one frame per owning shard.
-        reader = fast_client(urls)
-        out = reader.multi_get(KEYS[:16] + KEYS[60:62])
-        assert out == {KEYS[i]: art(i) for i in range(16)}
-        stats = reader.stats()
-        assert stats["remote_hits"] == 16
-        assert stats["remote_misses"] == 2
-        # The batch banked in the local tier: a re-read is all local.
-        again = reader.multi_get(KEYS[:16])
-        assert len(again) == 16
-        assert reader.stats()["local_hits"] >= 16
-        reader.close()
-
-    def test_multi_get_degrades_when_fleet_down(self, fleet):
-        urls = [server.url for server in fleet]
-        client = fast_client(urls, retries=1)
-        client.put(KEYS[0], art(0))        # banked locally + remotely
-        for server in fleet:
-            server.stop()
-        out = client.multi_get(KEYS[:4])
-        assert out == {KEYS[0]: art(0)}    # local tier still serves
-        assert client.stats()["degraded_gets"] >= 1
         client.close()

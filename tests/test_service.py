@@ -99,6 +99,41 @@ class TestTickets:
         with pytest.raises(ServiceError, match="shut down"):
             service.submit(CompileRequest(app=APP))
 
+    def test_close_fails_queued_tickets(self):
+        """``close`` fails a request that never started, so its
+        ``result`` returns at once.  Regression: the ticket stayed
+        "queued" with its done event unset, and a ``result`` without a
+        timeout blocked forever."""
+        started, release = threading.Event(), threading.Event()
+
+        class HeldService(CompileService):
+            def _execute(self, ticket):
+                started.set()
+                release.wait(30)
+                return RequestOutcome(ticket=ticket.id, kind="compile")
+
+        service = HeldService(ServiceConfig(slots=1))
+        running = service.submit(CompileRequest(app=APP))
+        assert started.wait(10)
+        queued = service.submit(CompileRequest(app=APP))
+        assert queued == "t0002"
+        closer = threading.Thread(target=service.close)
+        closer.start()
+        try:
+            start = time.monotonic()
+            with pytest.raises(ServiceError) as err:
+                service.result(queued, timeout=3)
+            assert err.value.kind == "closed"
+            assert time.monotonic() - start < 1.0
+            status = service.status(queued)
+            assert (status["state"], status["position"]) == ("failed", None)
+            assert service.stats()["scheduler"]["queued"] == 0
+        finally:
+            release.set()
+            closer.join(timeout=10)
+        assert not closer.is_alive()
+        assert service.result(running, timeout=1).ticket == running
+
     def test_submit_preempted_after_enqueue_still_runs(self, monkeypatch):
         """A slow enqueue still runs the request: the scheduler entry
         carries its ticket, registered under the same lock.

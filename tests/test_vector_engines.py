@@ -1,15 +1,13 @@
 """Fast-path equivalence and big-device scaling tests.
 
-Two simulation kernels pick a fast path themselves: the NoC simulator
-takes its numpy router from ``VECTOR_MIN_LEAVES`` leaves up, and the
-softcore ISS dispatches through a basic-block cache except while an
-injected trap is armed.  The contract is **bit identity** with the
-slow path — same cycles, same delivered records, same architectural
-state, under any seed.  These tests sweep that contract with
-hypothesis (moving the NoC threshold, or swapping the ISS block
-stepper for :meth:`PicoRV32.step`, so the same fixture runs both
-ways) and pin the scaled multi-SLR fabrics (U280, VU19P) with content
-digests and an -O1 compile-and-run of digit-recognition on each.
+The softcore ISS dispatches through a basic-block cache except while
+an injected trap is armed.  The contract is **bit identity** with the
+single-step path — same cycles, same architectural state, under any
+seed.  These tests sweep that contract with hypothesis (swapping the
+ISS block stepper for :meth:`PicoRV32.step`, so the same fixture runs
+both ways) and pin the scaled multi-SLR fabrics (U280, VU19P) with
+content digests, a NoC drain on the U280 overlay's network and an -O1
+compile-and-run of digit-recognition on each.
 """
 
 from __future__ import annotations
@@ -26,98 +24,13 @@ from repro.fabric import (Overlay, XCU50, XCU280, XCVU19P,
                           scaled_floorplan)
 from repro.noc.bft import BFTopology
 from repro.noc.leaf import LeafInterface
-from repro.noc.netsim import VECTOR_MIN_LEAVES, NetworkSimulator
+from repro.noc.netsim import NetworkSimulator
 from repro.softcore import PicoRV32, assemble, encode
 from repro.softcore.isa import Instruction
-from tests.test_perf_equivalence import ROUTERS, noc_router
 
 
 def _sha16(value) -> str:
     return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
-
-
-# --------------------------------------------------------------------------
-# NoC: per-packet router vs numpy router
-# --------------------------------------------------------------------------
-
-
-class TestRouterSelection:
-    @pytest.mark.parametrize("device,vector", [
-        (XCU50, False), (XCU280, False), (XCVU19P, True)])
-    def test_overlay_networks(self, device, vector):
-        topo = BFTopology.for_overlay(Overlay.for_device(device))
-        sim = NetworkSimulator(topo)
-        assert sim._vector is vector
-        assert (topo.size >= VECTOR_MIN_LEAVES) is vector
-
-    def test_threshold_is_inclusive(self):
-        assert NetworkSimulator(BFTopology(VECTOR_MIN_LEAVES))._vector
-        assert not NetworkSimulator(
-            BFTopology(VECTOR_MIN_LEAVES // 2))._vector
-
-
-def _drain_observables(router: str, n_leaves: int, n_ports: int,
-                       per_leaf: int, seed: int,
-                       reliable: bool = False, faults=None) -> Dict:
-    rng = random.Random(seed)
-    kwargs = dict(reliable=True, retransmit_timeout=32) if reliable else {}
-    leaves = {i: LeafInterface(i, n_ports=n_ports, **kwargs)
-              for i in range(n_leaves)}
-    with noc_router(router):
-        sim = NetworkSimulator(BFTopology(n_leaves), leaves,
-                               faults=faults)
-    for i in range(n_leaves):
-        for p in range(n_ports):
-            leaves[i].bind(p, rng.randrange(n_leaves), p)
-    for i in range(n_leaves):
-        for k in range(per_leaf):
-            leaves[i].send(k % n_ports, (i * 1000 + k) & 0xFFFFFFFF)
-    cycles = sim.run(max_cycles=500_000)
-    records = sim.delivered
-    if records and not isinstance(records[0], tuple):
-        records = [(r.payload, r.latency, r.hops) for r in records]
-    return {
-        "cycles": cycles,
-        "records": list(records),
-        "deflections": sim.total_deflections,
-        "dropped": sim.faults_dropped,
-        "tokens": {(leaf, p): leaves[leaf].tokens(p)
-                   for leaf in sorted(leaves) for p in range(n_ports)},
-        "stats": {leaf: (iface.received, iface.bounced, iface.sent,
-                         iface.retransmissions, iface.acks_sent)
-                  for leaf, iface in sorted(leaves.items())},
-    }
-
-
-class TestNoCEngineEquivalence:
-    """The same drain on both router paths, forced via the threshold."""
-
-    @settings(max_examples=25, deadline=None)
-    @given(n_leaves=st.sampled_from([4, 8, 16]),
-           n_ports=st.integers(min_value=1, max_value=4),
-           per_leaf=st.integers(min_value=1, max_value=25),
-           seed=st.integers(min_value=0, max_value=9999))
-    def test_drain_bit_identical(self, n_leaves, n_ports, per_leaf, seed):
-        scalar = _drain_observables("scalar", n_leaves, n_ports,
-                                    per_leaf, seed)
-        vector = _drain_observables("vector", n_leaves, n_ports,
-                                    per_leaf, seed)
-        assert scalar == vector
-        assert len(scalar["records"]) == n_leaves * per_leaf
-
-    def test_reliable_drain_bit_identical(self):
-        from repro.faults import FaultPlan
-
-        def plan():
-            return FaultPlan(seed=13, noc_drop_rate=0.02,
-                             noc_corrupt_rate=0.01).noc_faults()
-
-        scalar = _drain_observables("scalar", 8, 2, 15, seed=13,
-                                    reliable=True, faults=plan())
-        vector = _drain_observables("vector", 8, 2, 15, seed=13,
-                                    reliable=True, faults=plan())
-        assert scalar == vector
-        assert len(scalar["records"]) == 8 * 15
 
 
 # --------------------------------------------------------------------------
@@ -393,28 +306,21 @@ class TestMultiSLRTopology:
             BFTopology(8, leaf_slr=(0, 0, 1))
 
     def test_scaled_drain_on_overlay_topology(self):
-        # End-to-end: a non-power-of-two leaf count (41) drains cleanly
-        # on both routers with identical observables.
+        # End-to-end: a non-power-of-two leaf count (41, padded to 64)
+        # drains cleanly, every flit delivered, with pinned observables.
         topo = BFTopology.for_overlay(Overlay.for_device(XCU280))
-        results = {}
-        for router in ROUTERS:
-            rng = random.Random(7)
-            leaves = {i: LeafInterface(i, n_ports=2)
-                      for i in range(topo.n_leaves)}
-            with noc_router(router):
-                sim = NetworkSimulator(topo, leaves)
-            for i in range(topo.n_leaves):
-                for p in range(2):
-                    leaves[i].bind(p, rng.randrange(topo.n_leaves), p)
-            for i in range(topo.n_leaves):
-                for k in range(5):
-                    leaves[i].send(k % 2, (i * 100 + k) & 0xFFFFFFFF)
-            cycles = sim.run(max_cycles=200_000)
-            records = sim.delivered
-            if records and not isinstance(records[0], tuple):
-                records = [(r.payload, r.latency, r.hops)
-                           for r in records]
-            results[router] = (cycles, list(records),
-                               sim.total_deflections)
-        assert results["scalar"] == results["vector"]
-        assert len(results["scalar"][1]) == topo.n_leaves * 5
+        rng = random.Random(7)
+        leaves = {i: LeafInterface(i, n_ports=2)
+                  for i in range(topo.n_leaves)}
+        sim = NetworkSimulator(topo, leaves)
+        for i in range(topo.n_leaves):
+            for p in range(2):
+                leaves[i].bind(p, rng.randrange(topo.n_leaves), p)
+        for i in range(topo.n_leaves):
+            for k in range(5):
+                leaves[i].send(k % 2, (i * 100 + k) & 0xFFFFFFFF)
+        cycles = sim.run(max_cycles=200_000)
+        records = [(r.payload, r.latency, r.hops) for r in sim.delivered]
+        assert len(records) == topo.n_leaves * 5
+        assert (cycles, sim.total_deflections) == (90, 2306)
+        assert _sha16(records) == "8d8f2cc717a4d772"
