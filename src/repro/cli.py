@@ -353,7 +353,6 @@ def cmd_serve(args) -> int:
                  rates=rates, default_rate=args.default_rate,
                  brownout_high=args.brownout_high,
                  brownout_low=args.brownout_low,
-                 hedge_quantile=args.hedge_quantile,
                  peers=args.peer or [],
                  max_connections=args.max_connections,
                  frame_timeout=args.frame_timeout)
@@ -652,18 +651,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--brownout-high", type=float, default=None,
                          metavar="DEPTH",
                          help="queue-depth EWMA above which brownout "
-                              "starts: new compiles route to -O0 and "
-                              "hedged retries pause (default 0.75 x "
-                              "--max-queued)")
+                              "starts: new compiles route to -O0 "
+                              "(default 0.75 x --max-queued)")
     serve_p.add_argument("--brownout-low", type=float, default=None,
                          metavar="DEPTH",
                          help="EWMA below which brownout ends "
                               "(default half of --brownout-high)")
-    serve_p.add_argument("--hedge-quantile", type=float, default=None,
-                         metavar="Q",
-                         help="hedge store reads / o1 page jobs past "
-                              "this latency quantile (disabled during "
-                              "brownout)")
     serve_p.add_argument("--peer", action="append",
                          metavar="HOST:PORT",
                          help="peer daemon suggested to clients when "

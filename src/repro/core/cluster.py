@@ -18,28 +18,16 @@ job that exhausts its retries is reported in
 can still link the design by remapping that operator to the preloaded
 -O0 softcore (the paper's mixed-flow capability, Fig. 10).
 
-Two supervision features ride on top (:mod:`repro.resilience`):
-
-* **Hedged retries** — with ``hedge_quantile`` set, a job whose size
-  sits past that quantile of the job-size distribution (a *straggler*)
-  launches a speculative backup attempt on a second free node.  First
-  successful finisher wins; the loser is cancelled the moment the
-  winner lands, and its burned time is charged to
-  :attr:`ClusterSchedule.hedge_seconds` rather than the retry ledger.
-  Hedge attempt draws are keyed past ``max_attempts``, so a seeded
-  :class:`~repro.faults.FaultPlan` replays hedged schedules exactly.
-* **Deadline budgets** — an optional
-  :class:`~repro.resilience.Deadline` is checked between jobs; expiry
-  raises :class:`~repro.errors.DeadlineExceeded` carrying the jobs
-  already scheduled and those still pending.
+An optional :class:`~repro.resilience.Deadline` is checked between
+jobs; expiry raises :class:`~repro.errors.DeadlineExceeded` carrying the
+jobs already scheduled and those still pending.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.errors import FlowError
 from repro.pnr.compile_model import StageTimes
@@ -70,10 +58,6 @@ class ClusterSchedule:
     failed: List[str] = field(default_factory=list)
     retry_seconds: float = 0.0             # wasted attempts + backoff
     lost_nodes: List[int] = field(default_factory=list)
-    #: Jobs that launched a speculative backup attempt.
-    hedged: List[str] = field(default_factory=list)
-    #: Time burned by hedge losers (cancelled speculative attempts).
-    hedge_seconds: float = 0.0
 
     @property
     def parallel_speedup(self) -> float:
@@ -84,13 +68,6 @@ class ClusterSchedule:
     @property
     def total_retries(self) -> int:
         return sum(n - 1 for n in self.attempts.values() if n > 1)
-
-
-def _quantile(values: List[float], q: float) -> float:
-    """The value at quantile ``q`` (upper index, no interpolation)."""
-    ordered = sorted(values)
-    index = min(len(ordered) - 1, math.ceil(q * (len(ordered) - 1)))
-    return ordered[index]
 
 
 @dataclass
@@ -107,11 +84,6 @@ class CompileCluster:
             and retried (Slurm's ``--time``).
         max_attempts: total tries per job (first run + retries).
         backoff_base_seconds: first retry delay; doubles per retry.
-        hedge_quantile: when set (in [0, 1]), jobs at or past this
-            quantile of the job-size distribution get a speculative
-            backup attempt on a second free node (hedged request);
-            None disables hedging (the default, and the legacy
-            behaviour bit for bit).
     """
 
     nodes: int = 24
@@ -119,7 +91,6 @@ class CompileCluster:
     job_timeout_seconds: float = 3_600.0
     max_attempts: int = 3
     backoff_base_seconds: float = 30.0
-    hedge_quantile: Optional[float] = None
 
     def schedule(self, jobs: List[Job], faults=None, tracer=None,
                  deadline=None) -> ClusterSchedule:
@@ -134,9 +105,8 @@ class CompileCluster:
 
         With a :class:`repro.trace.Tracer`, every job becomes a span on
         its node's lane of the modeled clock; retried jobs additionally
-        carry per-attempt and backoff child spans, a lost node is
-        marked with an instant event, and speculative backup attempts
-        appear as ``hedge:`` spans on the backup node's lane.
+        carry per-attempt and backoff child spans, and a lost node is
+        marked with an instant event.
 
         With a :class:`~repro.resilience.Deadline`, the budget is
         checked before each job; expiry raises
@@ -147,11 +117,6 @@ class CompileCluster:
             raise FlowError("cluster needs at least one node")
         if self.max_attempts < 1:
             raise FlowError("cluster needs at least one attempt per job")
-        if self.hedge_quantile is not None \
-                and not (0.0 <= self.hedge_quantile <= 1.0):
-            raise FlowError(
-                f"hedge_quantile must be in [0, 1], got "
-                f"{self.hedge_quantile}")
         tracer = tracer if tracer is not None else NULL_TRACER
         if not jobs:
             return ClusterSchedule(0.0, {}, StageTimes(), 0.0)
@@ -164,25 +129,17 @@ class CompileCluster:
         attempts: Dict[str, int] = {}
         failed: List[str] = []
         lost_nodes: List[int] = []
-        hedged: List[str] = []
         retry_seconds = 0.0
-        hedge_seconds = 0.0
-        threshold = None
-        if self.hedge_quantile is not None and len(jobs) >= 2 \
-                and self.nodes >= 2:
-            threshold = _quantile([j.seconds for j in jobs],
-                                  self.hedge_quantile)
 
         def emit_segment(job: Job, node: int, seg_start: float,
                          seg_end: float, children: List[Tuple],
-                         n_attempts: int, outcome: str,
-                         prefix: str = "job") -> None:
+                         n_attempts: int, outcome: str) -> None:
             """One job span on its node lane (+ retry/backoff children)."""
             if not tracer.enabled or seg_end <= seg_start:
                 return
             lane = f"node{node}"
             tracer.modeled_span(
-                f"{prefix}:{job.name}", trace_base + seg_start,
+                f"job:{job.name}", trace_base + seg_start,
                 seg_end - seg_start, category="cluster", lane=lane,
                 attempts=n_attempts, outcome=outcome)
             if len(children) > 1:
@@ -211,125 +168,6 @@ class CompileCluster:
                 f"fault injector returned unknown outcome "
                 f"{outcome!r} for job {job.name!r}")
 
-        def run_ladder(job: Job, start: float, attempt_base: int
-                       ) -> Tuple[float, bool, List[Tuple], int, float,
-                                  bool]:
-            """The retry ladder on ONE node (no migration).
-
-            Returns ``(end, succeeded, children, attempts, waste,
-            node_died)``.  Hedge ladders draw with attempt numbers past
-            ``max_attempts`` so primary and backup are independent —
-            and both deterministic under a seeded plan.
-            """
-            busy = start
-            children: List[Tuple] = []
-            attempt = 0
-            waste = 0.0
-            while True:
-                attempt += 1
-                attempt_start = busy
-                outcome, fraction = ("ok", 1.0) if faults is None else \
-                    faults.attempt_outcome(job.name,
-                                           attempt_base + attempt)
-                if outcome == "ok":
-                    busy += job.seconds
-                    children.append(
-                        ("attempt", attempt_start, job.seconds,
-                         {"attempt": attempt_base + attempt,
-                          "outcome": "ok"}))
-                    return busy, True, children, attempt, waste, False
-                wasted = attempt_wasted(job, outcome, fraction)
-                busy += wasted
-                waste += wasted
-                children.append(
-                    ("attempt", attempt_start, wasted,
-                     {"attempt": attempt_base + attempt,
-                      "outcome": outcome}))
-                if outcome == "node":
-                    return busy, False, children, attempt, waste, True
-                if attempt >= self.max_attempts:
-                    return busy, False, children, attempt, waste, False
-                backoff = self.backoff_base_seconds * 2.0 ** (attempt - 1)
-                children.append(("backoff", busy, backoff,
-                                 {"attempt": attempt_base + attempt}))
-                busy += backoff
-                waste += backoff
-
-        def settle_ladder(job: Job, node: int, start: float,
-                          busy_end: float, ladder_end: float,
-                          died: bool) -> None:
-            """Retire or free one ladder's node at its busy end."""
-            if died and busy_end >= ladder_end:
-                node_lost(node, busy_end, job)
-            else:
-                heapq.heappush(heap, (busy_end, node))
-
-        def schedule_hedged(job: Job) -> None:
-            # Classic hedged request: the backup launches only once the
-            # primary has exceeded its *expected* duration (so a clean
-            # primary run costs nothing — the hedge is cancelled before
-            # it ever starts), on the next node free at that time.
-            t1, n1 = heapq.heappop(heap)
-            t2, n2 = heapq.heappop(heap)
-            h_start = max(t2, t1 + job.seconds)
-            nonlocal retry_seconds, hedge_seconds
-            p_end, p_ok, p_children, p_att, p_waste, p_died = \
-                run_ladder(job, t1, 0)
-            h_end, h_ok, h_children, h_att, h_waste, h_died = \
-                run_ladder(job, h_start, self.max_attempts)
-            hedged.append(job.name)
-            if p_ok and (not h_ok or p_end <= h_end):
-                winner = "primary"
-            elif h_ok:
-                winner = "hedge"
-            else:
-                winner = None
-
-            if winner is None:
-                # Both ladders exhausted: the job fails; the primary's
-                # waste is ordinary retry cost, the whole backup is
-                # hedge cost.
-                failed.append(job.name)
-                attempts[job.name] = p_att
-                retry_seconds += p_waste
-                hedge_seconds += h_end - h_start
-                emit_segment(job, n1, t1, p_end, p_children, p_att,
-                             "failed")
-                emit_segment(job, n2, h_start, h_end, h_children, h_att,
-                             "failed", prefix="hedge")
-                settle_ladder(job, n1, t1, p_end, p_end, p_died)
-                settle_ladder(job, n2, h_start, h_end, h_end, h_died)
-                return
-
-            win_end = p_end if winner == "primary" else h_end
-            attempts[job.name] = p_att if winner == "primary" else h_att
-            assignments[job.name] = n1 if winner == "primary" else n2
-            retry_seconds += p_waste if winner == "primary" else h_waste
-            # The loser is cancelled the moment the winner lands; its
-            # burned time (zero when the winner beat the backup to its
-            # launch instant) is the price of the hedge.
-            if winner == "primary":
-                h_busy = max(h_start, min(h_end, win_end))
-                hedge_seconds += h_busy - h_start
-                emit_segment(job, n1, t1, p_end, p_children, p_att, "ok")
-                if h_busy > h_start:
-                    emit_segment(job, n2, h_start, h_busy, h_children,
-                                 h_att, "cancelled", prefix="hedge")
-                    settle_ladder(job, n2, h_start, h_busy, h_end,
-                                  h_died)
-                else:                  # never launched: node untouched
-                    heapq.heappush(heap, (t2, n2))
-                settle_ladder(job, n1, t1, p_end, p_end, p_died)
-            else:
-                p_busy = max(t1, min(p_end, win_end))
-                hedge_seconds += p_busy - t1
-                emit_segment(job, n1, t1, p_busy, p_children, p_att,
-                             "cancelled")
-                emit_segment(job, n2, h_start, h_end, h_children, h_att,
-                             "ok", prefix="hedge")
-                settle_ladder(job, n1, t1, p_busy, p_end, p_died)
-                settle_ladder(job, n2, h_start, h_end, h_end, h_died)
-
         for index, job in enumerate(ordered):
             if deadline is not None:
                 deadline.check(
@@ -340,10 +178,6 @@ class CompileCluster:
                 raise FlowError(
                     f"all {self.nodes} compile nodes failed; cannot "
                     f"schedule job {job.name!r}")
-            if threshold is not None and job.seconds >= threshold \
-                    and len(heap) >= 2:
-                schedule_hedged(job)
-                continue
             busy_until, node = heapq.heappop(heap)
             seg_start = busy_until
             children: List[Tuple] = []
@@ -425,9 +259,7 @@ class CompileCluster:
         return ClusterSchedule(makespan, assignments, maxima, serial,
                                attempts=attempts, failed=failed,
                                retry_seconds=retry_seconds,
-                               lost_nodes=lost_nodes,
-                               hedged=hedged,
-                               hedge_seconds=hedge_seconds)
+                               lost_nodes=lost_nodes)
 
     def incremental_schedule(self, all_jobs: List[Job], dirty_names,
                              faults=None, tracer=None, deadline=None

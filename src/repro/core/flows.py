@@ -160,10 +160,6 @@ class FlowBuild:
     compile_attempts: Dict[str, int] = field(default_factory=dict)
     #: Wasted seconds on failed attempts/backoff, charged into makespan.
     retry_seconds: float = 0.0
-    #: Page jobs that ran a speculative backup attempt (hedged retries).
-    hedged_jobs: List[str] = field(default_factory=list)
-    #: Time burned by cancelled hedge attempts (losers of the race).
-    hedge_seconds: float = 0.0
     #: The fault plan this build compiled under, if any (its log holds
     #: every injected fault; see ``format_failure_report``).
     fault_plan: Optional[object] = None
@@ -507,7 +503,6 @@ class O1Flow:
 
     Args:
         overlay: the page overlay to compile against.
-        cluster: compile cluster for parallel page jobs.
         model: compile-time calibration.
         effort: annealer effort (tests pass < 1 for speed).
         seed: placement seed.
@@ -521,13 +516,13 @@ class O1Flow:
     name = "PLD -O1"
 
     def __init__(self, overlay: Optional[Overlay] = None,
-                 cluster: Optional[CompileCluster] = None,
                  model: CompileTimeModel = DEFAULT_MODEL,
                  effort: float = 1.0, seed: int = 1,
                  softcore_cycles: Optional[Dict[str, int]] = None,
                  faults=None):
         self.overlay = overlay or Overlay()
-        self.cluster = cluster or CompileCluster()
+        #: Compile cluster for the parallel page jobs.
+        self.cluster = CompileCluster()
         self.model = model
         self.effort = effort
         self.seed = seed
@@ -782,8 +777,6 @@ class O1Flow:
             remapped=remapped,
             compile_attempts=dict(schedule_result.attempts),
             retry_seconds=schedule_result.retry_seconds,
-            hedged_jobs=list(schedule_result.hedged),
-            hedge_seconds=schedule_result.hedge_seconds,
             fault_plan=self.faults,
             _exec_graph=exec_graph,
             _telemetry=telemetry,

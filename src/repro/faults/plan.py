@@ -136,8 +136,6 @@ class FaultPlan:
             spurious (transient) trap.
         transport_drop_rate: probability a remote-store request is
             dropped on the floor (the client sees a deadline expiry).
-        transport_delay_rate: probability a request is delayed by the
-            injector's deterministic stall before being served.
         transport_corrupt_rate: probability a response frame arrives
             bit-flipped (the client sees a framing/integrity error).
         transport_half_close_rate: probability the peer half-closes
@@ -174,7 +172,6 @@ class FaultPlan:
                  dma_fail_rate: float = 0.0,
                  softcore_trap_rate: float = 0.0,
                  transport_drop_rate: float = 0.0,
-                 transport_delay_rate: float = 0.0,
                  transport_corrupt_rate: float = 0.0,
                  transport_half_close_rate: float = 0.0,
                  kill_shards: Union[Iterable[str],
@@ -194,7 +191,6 @@ class FaultPlan:
             "dma_fail_rate": dma_fail_rate,
             "softcore_trap_rate": softcore_trap_rate,
             "transport_drop_rate": transport_drop_rate,
-            "transport_delay_rate": transport_delay_rate,
             "transport_corrupt_rate": transport_corrupt_rate,
             "transport_half_close_rate": transport_half_close_rate,
         }
@@ -220,7 +216,6 @@ class FaultPlan:
         self.dma_fail_rate = dma_fail_rate
         self.softcore_trap_rate = softcore_trap_rate
         self.transport_drop_rate = transport_drop_rate
-        self.transport_delay_rate = transport_delay_rate
         self.transport_corrupt_rate = transport_corrupt_rate
         self.transport_half_close_rate = transport_half_close_rate
         if isinstance(kill_shards, Mapping):
@@ -443,15 +438,7 @@ class TransportFaultInjector:
     fails *every* request past its kill index, forcing the client all
     the way through its retry budget into breaker quarantine and
     degraded mode.
-
-    ``"delay"`` outcomes carry a deterministic stall via
-    :meth:`delay_seconds` so delayed-but-successful requests exercise
-    hedged reads without real nondeterminism.
     """
-
-    #: Injected delays land in (0, MAX_DELAY_SECONDS] — long enough to
-    #: trip a hedge threshold in tests, short enough not to stall CI.
-    MAX_DELAY_SECONDS = 0.05
 
     def __init__(self, plan: FaultPlan):
         self.plan = plan
@@ -469,7 +456,7 @@ class TransportFaultInjector:
         return kill_at is not None and index >= kill_at
 
     def on_request(self, shard: str, index: int, attempt: int = 1) -> str:
-        """``"ok" | "drop" | "delay" | "corrupt" | "half-close" | "kill"``
+        """``"ok" | "drop" | "corrupt" | "half-close" | "kill"``
         for one request attempt."""
         plan = self.plan
         if self.shard_dead(shard, index):
@@ -492,17 +479,7 @@ class TransportFaultInjector:
             plan.record("transport", "half-close", shard,
                         f"request #{index} attempt {attempt}")
             return "half-close"
-        edge += plan.transport_delay_rate
-        if roll < edge:
-            plan.record("transport", "delay", shard,
-                        f"request #{index} attempt {attempt}")
-            return "delay"
         return "ok"
-
-    def delay_seconds(self, shard: str, index: int) -> float:
-        """Deterministic stall for a ``"delay"`` outcome (never zero)."""
-        frac = _draw(self.plan.seed, "transport", "stall", shard, index)
-        return self.MAX_DELAY_SECONDS * (0.2 + 0.8 * frac)
 
 
 class OverloadFaultInjector:

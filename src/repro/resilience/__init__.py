@@ -19,9 +19,7 @@ makes every compile crash-safe and time-bounded:
 * :func:`fsck_store` — the ``pld fsck`` doctor: reaps orphan temp
   files, re-hashes and heals corrupt objects, repairs the journal.
 
-Hedged retries for straggler cluster jobs live in
-:class:`repro.core.cluster.CompileCluster` (``hedge_quantile``), and
-the crash-injection harness in :class:`repro.faults.CrashPlan`.
+The crash-injection harness lives in :class:`repro.faults.CrashPlan`.
 """
 
 from repro.resilience.breaker import (

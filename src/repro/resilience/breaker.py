@@ -57,8 +57,8 @@ class CircuitBreaker:
         self.failure_threshold = failure_threshold
         self.cooldown_seconds = cooldown_seconds
         self._clock = clock if clock is not None else time.monotonic
-        # One breaker is shared by the engine thread, hedge workers
-        # and the store reconciler; the half-open admission in
+        # One breaker is shared by the request workers' engines and
+        # the store reconciler; the half-open admission in
         # is_open() is check-then-act, so all state lives under a lock.
         self._lock = threading.Lock()
         self._failures: Dict[str, int] = {}

@@ -192,9 +192,6 @@ class ServiceConfig:
     #: derive from ``max_queued`` (see :mod:`repro.service.overload`).
     brownout_high: Optional[float] = None
     brownout_low: Optional[float] = None
-    #: Hedged-retry quantile for the shared store and o1 page-compile
-    #: cluster; brownout disables it until the EWMA recovers.
-    hedge_quantile: Optional[float] = None
     #: Peer daemon addresses suggested to clients on drain rejections.
     peers: List[str] = field(default_factory=list)
 
@@ -223,9 +220,7 @@ class CompileService:
         if self.config.store_urls:
             from repro.store.remote import ShardedStoreClient
             self.fleet = ShardedStoreClient(
-                self.config.store_urls, fallback=local,
-                hedge_quantile=self.config.hedge_quantile,
-                tracer=self.tracer)
+                self.config.store_urls, fallback=local, tracer=self.tracer)
         #: The store all requests and sessions share (cross-tenant dedup).
         self.store = self.fleet if self.fleet is not None else local
         self.leases = SessionLeases(
@@ -244,7 +239,6 @@ class CompileService:
             slots=max(1, self.config.slots),
             brownout_high=self.config.brownout_high,
             brownout_low=self.config.brownout_low,
-            on_brownout=self._on_brownout,
             tracer=self.tracer)
         self.peers: List[str] = list(self.config.peers)
         self._pool = WorkerPool(self.config.workers) \
@@ -316,19 +310,6 @@ class CompileService:
                                    mode="sigkill")
         return self._engine(journal=journal, deadline=deadline,
                             crash_plan=crash_plan)
-
-    def make_flow(self, name: str, effort: float, seed: int = 1):
-        cls = FLOWS[name]
-        kwargs: Dict[str, Any] = {"effort": effort, "seed": seed}
-        # Hedged page-compile retries for the o1 cluster — but not
-        # during brownout, when speculation is the wrong spend.
-        if name in ("o0", "o1") \
-                and self.config.hedge_quantile is not None \
-                and not self.admission.brownout:
-            from repro.core.cluster import CompileCluster
-            kwargs["cluster"] = CompileCluster(
-                hedge_quantile=self.config.hedge_quantile)
-        return cls(**kwargs)
 
     def open_session(self, effort: float = 0.3) -> IncrementalSession:
         """An :class:`IncrementalSession` over the service store,
@@ -617,7 +598,7 @@ class CompileService:
         try:
             if journal is not None:
                 journal.begin_build(req.flow, req.app)
-            flow = self.make_flow(req.flow, req.effort, req.seed)
+            flow = FLOWS[req.flow](effort=req.effort, seed=req.seed)
             build = flow.compile(app.project, engine)
             if journal is not None:
                 journal.end_build()
@@ -708,17 +689,6 @@ class CompileService:
             tenant=req.tenant, session=state.lease.name)
 
     # -- overload / drain -----------------------------------------------------
-
-    def _on_brownout(self, active: bool) -> None:
-        """Brownout transition hook: hedged retries are speculation,
-        and speculation is the wrong spend when the pool is already
-        saturated — disable store-read hedging on enter, restore the
-        configured quantile on exit.  (Cluster-job hedging is decided
-        per flow in :meth:`make_flow`, which checks the live brownout
-        flag.)"""
-        if self.fleet is not None:
-            self.fleet.hedge_quantile = None if active \
-                else self.config.hedge_quantile
 
     @property
     def draining(self) -> bool:

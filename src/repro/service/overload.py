@@ -25,8 +25,7 @@ unit-testable:
   overload (a single burst does not trip it).  Above
   ``brownout_high`` the service enters brownout: new one-shot compiles
   route to the existing -O0 degradation path (seconds, not minutes,
-  of work) and hedged retries are disabled (speculation is the wrong
-  spend when the pool is saturated).  The EWMA must fall below
+  of work).  The EWMA must fall below
   ``brownout_low`` to exit — hysteresis, so the mode does not flap.
 
 State transitions surface as ``brownout:enter`` / ``brownout:exit``
@@ -113,8 +112,6 @@ class AdmissionController:
             entering/leaving brownout.  Defaults derive from
             ``max_queued`` (:data:`BROWNOUT_HIGH_FRACTION`, low = half
             of high); both None disables brownout.
-        on_brownout: callback invoked with ``True``/``False`` on
-            enter/exit (the service hooks hedged-retry disabling here).
         clock: injectable monotonic clock (tests use a fake).
         tracer: receives ``brownout:enter``/``exit`` instants on the
             ``service`` lane.
@@ -128,7 +125,6 @@ class AdmissionController:
                  brownout_high: Optional[float] = None,
                  brownout_low: Optional[float] = None,
                  ewma_tau: float = EWMA_TAU_SECONDS,
-                 on_brownout: Optional[Callable[[bool], None]] = None,
                  clock: Callable[[], float] = time.monotonic,
                  tracer=None):
         self.max_queued = max_queued
@@ -142,7 +138,6 @@ class AdmissionController:
         self.brownout_low = brownout_low if brownout_low is not None \
             else (brownout_high / 2.0 if brownout_high else None)
         self.ewma_tau = ewma_tau
-        self.on_brownout = on_brownout
         self.clock = clock
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._buckets: Dict[str, TokenBucket] = {}
@@ -195,8 +190,6 @@ class AdmissionController:
                                 lane="service",
                                 ewma=round(self.ewma, 2),
                                 high=self.brownout_high)
-            if self.on_brownout is not None:
-                self.on_brownout(True)
         elif self.brownout and self.brownout_low is not None \
                 and self.ewma <= self.brownout_low:
             self.brownout = False
@@ -205,8 +198,6 @@ class AdmissionController:
                                 lane="service",
                                 ewma=round(self.ewma, 2),
                                 low=self.brownout_low)
-            if self.on_brownout is not None:
-                self.on_brownout(False)
 
     def observe(self, depth: int) -> None:
         """Feed a queue-depth sample outside submit (a request's

@@ -13,8 +13,8 @@ changed.
 shard backend over a framed TCP protocol, and
 :class:`~repro.store.remote.ShardedStoreClient` routes keys across N
 shards by rendezvous hashing with per-request deadlines, retries,
-circuit-breaker quarantine, hedged reads, and degraded-mode fallback
-to a local store.  It is imported lazily (``repro.store.remote``) so
+circuit-breaker quarantine, and degraded-mode fallback to a local
+store.  It is imported lazily (``repro.store.remote``) so
 the local store stays free of socket machinery.
 """
 

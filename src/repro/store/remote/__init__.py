@@ -6,9 +6,9 @@ behind a framed TCP protocol — and a :class:`ShardedStoreClient` that
 routes keys by rendezvous hashing and satisfies the build engine's
 cache contract.  Robustness is the design center: per-request
 deadlines, bounded retries with backoff + jitter, per-shard circuit
-breakers with quarantine and half-open probes, hedged reads, and a
-degraded mode where a dead shard means slower compiles (local cache
-misses), never failed ones.
+breakers with quarantine and half-open probes, and a degraded mode
+where a dead shard means slower compiles (local cache misses), never
+failed ones.
 """
 
 from repro.store.remote.client import (

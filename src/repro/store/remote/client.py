@@ -24,11 +24,6 @@ and a documented degraded path:
   write-behind queue that :meth:`reconcile` drains once the shard
   heals.  The local store doubles as the in-process hot tier on the
   healthy path (write-through, read-first).
-* **Hedged reads** — with ``hedge_quantile`` set, a ``get`` that
-  exceeds that quantile of recently observed latencies launches a
-  speculative second request; first result wins (requests are
-  idempotent, so the loser is simply discarded).  Same machinery shape
-  as :class:`repro.core.cluster.CompileCluster` straggler hedging.
 
 Transport faults from a seeded :class:`repro.faults.FaultPlan`
 (``transport_*`` rates, ``kill_shards``) are injected at the request
@@ -43,7 +38,6 @@ import socket
 import threading
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import (
@@ -69,8 +63,6 @@ DEFAULT_RETRIES = 3
 DEFAULT_BACKOFF_BASE = 0.02
 #: Quarantine cooldown before a tripped shard gets a half-open probe.
 DEFAULT_QUARANTINE_SECONDS = 1.0
-#: Latency window for the hedge threshold.
-LATENCY_WINDOW = 64
 #: Artefacts per multi_put frame when draining write-behind queues.
 RECONCILE_BATCH = 32
 
@@ -129,7 +121,7 @@ def rendezvous_shard(key: str, shards: List[str]) -> str:
 class ShardClient:
     """One shard's connection manager: deadlines, retries, backoff.
 
-    Connections are pooled (hedged reads need two in flight); an
+    Connections are pooled (threads sharing the client each take one); an
     attempt that fails at the transport layer discards its connection
     and redials, so a stale half-closed socket never burns more than
     one attempt.
@@ -229,8 +221,6 @@ class ShardClient:
             raise FrameError(
                 f"injected half-close: {self.url} closed mid-frame",
                 shard=self.url, op=op, attempt=attempt)
-        if outcome == "delay":
-            self._sleep(self.faults.delay_seconds(self.url, index))
 
         header = {"op": op}
         if key:
@@ -282,9 +272,6 @@ class ShardedStoreClient:
             shard's breaker into quarantine.
         quarantine_seconds: cooldown before a tripped shard gets a
             half-open probe request.
-        hedge_quantile: when set (in [0, 1]), a read exceeding that
-            quantile of recent read latencies launches a speculative
-            duplicate; None disables hedging.
         faults: a :class:`repro.faults.TransportFaultInjector` for
             seeded failure testing.
         tracer: a :class:`repro.trace.Tracer`; shard health transitions
@@ -299,7 +286,6 @@ class ShardedStoreClient:
                  backoff_base: float = DEFAULT_BACKOFF_BASE,
                  breaker_threshold: int = 3,
                  quarantine_seconds: float = DEFAULT_QUARANTINE_SECONDS,
-                 hedge_quantile: Optional[float] = None,
                  faults=None, tracer=None, seed: int = 0,
                  strict: bool = False, clock=None, sleep=time.sleep):
         from repro.resilience.breaker import CircuitBreaker
@@ -320,11 +306,8 @@ class ShardedStoreClient:
         self.breaker = CircuitBreaker(
             failure_threshold=breaker_threshold,
             cooldown_seconds=quarantine_seconds, clock=clock)
-        self.hedge_quantile = hedge_quantile
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.strict = strict
-        self._latencies: deque = deque(maxlen=LATENCY_WINDOW)
-        self._executor: Optional[ThreadPoolExecutor] = None
         self._reconciler: Optional[threading.Thread] = None
         self._stop = threading.Event()
         self._closed = False
@@ -348,8 +331,6 @@ class ShardedStoreClient:
         self.degraded_puts = 0
         self.reconciled = 0
         self.breaker_trips = 0
-        self.hedged_reads = 0
-        self.hedge_wins = 0
 
     # -- routing -------------------------------------------------------------
 
@@ -418,7 +399,7 @@ class ShardedStoreClient:
     # -- the engine-cache contract -------------------------------------------
 
     def get(self, key: str):
-        """Local hot tier, then the owning shard (hedged), then — when
+        """Local hot tier, then the owning shard, then — when
         the shard is quarantined or unreachable — the local fallback."""
         artifact = self.fallback.get(key)
         if artifact is not None:
@@ -477,19 +458,9 @@ class ShardedStoreClient:
                 if key not in queue:
                     queue.append(key)
 
-    # -- shard requests (reads hedged) ---------------------------------------
+    # -- shard requests ------------------------------------------------------
 
     def _remote_get(self, url: str, key: str):
-        start = time.perf_counter()
-        threshold = self._hedge_threshold()
-        if threshold is None:
-            result = self._remote_get_once(url, key)
-        else:
-            result = self._remote_get_hedged(url, key, threshold)
-        self._latencies.append(time.perf_counter() - start)
-        return result
-
-    def _remote_get_once(self, url: str, key: str):
         response, payload = self.shards[url].request("get", key)
         if not response.get("found", False):
             return None
@@ -506,46 +477,6 @@ class ShardedStoreClient:
         self.shards[url].request(
             "multi_put", extra={"keys": keys, "sizes": sizes},
             payload=payload)
-
-    def _hedge_threshold(self) -> Optional[float]:
-        """Seconds after which a read is a straggler, or None."""
-        if self.hedge_quantile is None or len(self._latencies) < 8:
-            return None
-        ordered = sorted(self._latencies)
-        index = min(len(ordered) - 1,
-                    int(self.hedge_quantile * (len(ordered) - 1)))
-        # Never hedge on sub-threshold noise.
-        return max(ordered[index], 1e-4)
-
-    def _remote_get_hedged(self, url: str, key: str, threshold: float):
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(
-                max_workers=4, thread_name_prefix="store-hedge")
-        primary = self._executor.submit(self._remote_get_once, url, key)
-        done, _ = wait({primary}, timeout=threshold)
-        if primary in done:
-            return primary.result()
-        self.hedged_reads += 1
-        with self.tracer.span(f"hedge:{key[:12]}", category="store",
-                              lane="store", shard=url):
-            backup = self._executor.submit(self._remote_get_once, url,
-                                           key)
-            futures = {primary, backup}
-            last: Optional[Exception] = None
-            while futures:
-                done, futures = wait(futures,
-                                     return_when=FIRST_COMPLETED)
-                for fut in done:
-                    try:
-                        result = fut.result()
-                    except StoreError as exc:
-                        last = exc
-                        continue
-                    if fut is backup:
-                        self.hedge_wins += 1
-                    return result
-            raise last if last is not None else StoreUnavailableError(
-                f"hedged read of {key!r} failed", shard=url, op="get")
 
     # -- degraded-mode recovery ----------------------------------------------
 
@@ -662,8 +593,6 @@ class ShardedStoreClient:
             "reconciled": self.reconciled,
             "breaker_trips": self.breaker_trips,
             "quarantined": self.breaker.open_steps(),
-            "hedged_reads": self.hedged_reads,
-            "hedge_wins": self.hedge_wins,
             "shards": list(self.urls),
         }
 
@@ -691,9 +620,6 @@ class ShardedStoreClient:
         if self._reconciler is not None:
             self._reconciler.join(timeout=5.0)
             self._reconciler = None
-        if self._executor is not None:
-            self._executor.shutdown(wait=False)
-            self._executor = None
         for shard in self.shards.values():
             shard.close()
 

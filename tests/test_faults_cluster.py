@@ -1,5 +1,8 @@
 """Compile-cluster fault-recovery tests."""
 
+import hashlib
+import itertools
+
 import pytest
 
 from repro.core.cluster import CompileCluster, Job
@@ -112,6 +115,38 @@ class TestDeterminism:
 
         assert once() == once()
 
+    #: sha256 over the schedules below, recorded when the cluster still
+    #: had a second (hedged) retry ladder; the one ladder left must
+    #: reproduce every schedule and trace event bit for bit.
+    SCHEDULE_DIGEST = ("74e951074aa79623d9317e85fe35738b"
+                       "ad0bbc229bcd40107dd5d5daf760c36a")
+
+    def test_seeded_schedules_match_pinned_digest(self):
+        from repro.trace import Tracer
+
+        mixes = ({"compile_fail_rate": 0.3, "compile_timeout_rate": 0.1},
+                 {"compile_timeout_rate": 0.3, "node_fail_rate": 0.05},
+                 {"node_fail_rate": 0.15})
+        job_sets = (_jobs(12),
+                    _jobs(6, seconds=10.0)
+                    + [Job("huge", StageTimes(pnr=1000.0))])
+        cluster = CompileCluster(nodes=4, max_attempts=3)
+        digest = hashlib.sha256()
+        for seed, mix, jobs in itertools.product(range(40), mixes, job_sets):
+            tracer = Tracer()
+            faults = FaultPlan(seed, **mix).compile_faults()
+            try:
+                s = cluster.schedule(jobs, faults=faults, tracer=tracer)
+            except FlowError as exc:             # every node died
+                digest.update(repr(("error", str(exc))).encode())
+                continue
+            events = [(e.name, e.start, e.duration) for e in tracer.events]
+            digest.update(repr((
+                s.makespan, s.assignments, s.attempts, s.failed,
+                s.retry_seconds, s.lost_nodes, s.stage_maxima.total,
+                events)).encode())
+        assert digest.hexdigest() == self.SCHEDULE_DIGEST
+
 
 class TestNodeLossBookkeeping:
     def test_failed_job_excluded_from_assignments(self):
@@ -150,108 +185,3 @@ class TestNodeLossBookkeeping:
         assert set(schedule.assignments) \
             == {j.name for j in jobs} - {"op_1"}
         assert set(schedule.attempts) == {j.name for j in jobs}
-
-
-def _straggler_jobs():
-    """Six quick jobs plus one straggler dominating the makespan."""
-    return _jobs(6, seconds=10.0) + [Job("huge", StageTimes(pnr=1000.0))]
-
-
-class TestHedgedRetries:
-    #: A seed (found by search, stable under the pure-hash draws) where
-    #: the straggler's primary attempt times out but its hedge runs
-    #: clean — the case hedging exists for.
-    SEED = 18
-
-    def _plans(self):
-        return (FaultPlan(self.SEED, compile_timeout_rate=0.4),
-                FaultPlan(self.SEED, compile_timeout_rate=0.4))
-
-    def test_hedge_strictly_reduces_straggler_makespan(self):
-        base_plan, hedge_plan = self._plans()
-        jobs = _straggler_jobs()
-        base = CompileCluster(nodes=4, max_attempts=3).schedule(
-            jobs, faults=base_plan.compile_faults())
-        hedged = CompileCluster(nodes=4, max_attempts=3,
-                                hedge_quantile=0.9).schedule(
-            jobs, faults=hedge_plan.compile_faults())
-        assert hedged.hedged == ["huge"]
-        assert hedged.makespan < base.makespan          # strictly better
-        assert not hedged.failed
-        # The loser's burned time is accounted as hedge, not retry.
-        assert hedged.hedge_seconds > 0
-        assert hedged.hedge_seconds != hedged.retry_seconds
-
-    def test_hedged_schedule_is_deterministic(self):
-        def once():
-            plan = FaultPlan(self.SEED, compile_timeout_rate=0.4,
-                             node_fail_rate=0.05)
-            cluster = CompileCluster(nodes=4, max_attempts=3,
-                                     hedge_quantile=0.75)
-            s = cluster.schedule(_straggler_jobs(),
-                                 faults=plan.compile_faults())
-            return (s.makespan, s.assignments, s.attempts, s.failed,
-                    s.hedged, s.hedge_seconds, s.retry_seconds)
-
-        assert once() == once()
-
-    def test_hedge_disabled_is_bit_identical_to_legacy(self):
-        """hedge_quantile=None must not perturb the existing schedule."""
-        plan_a = FaultPlan(42, compile_fail_rate=0.3,
-                           compile_timeout_rate=0.1)
-        plan_b = FaultPlan(42, compile_fail_rate=0.3,
-                           compile_timeout_rate=0.1)
-        jobs = _jobs(12)
-        a = CompileCluster(nodes=4, max_attempts=4).schedule(
-            jobs, faults=plan_a.compile_faults())
-        b = CompileCluster(nodes=4, max_attempts=4,
-                           hedge_quantile=None).schedule(
-            jobs, faults=plan_b.compile_faults())
-        assert (a.makespan, a.assignments, a.attempts, a.retry_seconds) \
-            == (b.makespan, b.assignments, b.attempts, b.retry_seconds)
-        assert b.hedged == [] and b.hedge_seconds == 0.0
-
-    def test_fault_free_hedge_charges_nothing(self):
-        """Without faults the primary wins instantly: zero hedge cost
-        (the backup node never gets to start) and an unchanged makespan."""
-        jobs = _straggler_jobs()
-        plain = CompileCluster(nodes=4).schedule(jobs)
-        hedged = CompileCluster(nodes=4, hedge_quantile=0.9).schedule(jobs)
-        assert hedged.makespan == pytest.approx(plain.makespan)
-        assert hedged.hedge_seconds == pytest.approx(0.0)
-        assert hedged.hedged == ["huge"]
-
-    def test_kill_job_fails_both_ladders(self):
-        """A deterministically-broken job fails its hedge too — hedging
-        must not mask real breakage."""
-        plan = FaultPlan(0, kill_jobs=["huge"])
-        cluster = CompileCluster(nodes=4, max_attempts=2,
-                                 hedge_quantile=0.9)
-        schedule = cluster.schedule(_straggler_jobs(),
-                                    faults=plan.compile_faults())
-        assert schedule.failed == ["huge"]
-        assert "huge" not in schedule.assignments
-        assert schedule.hedge_seconds > 0       # the backup burned time
-
-    def test_invalid_quantile_rejected(self):
-        cluster = CompileCluster(hedge_quantile=1.5)
-        with pytest.raises(FlowError, match="hedge_quantile"):
-            cluster.schedule(_jobs(2))
-
-    def test_hedge_span_appears_in_trace(self):
-        from repro.trace import Tracer
-
-        tracer = Tracer()
-        CompileCluster(nodes=4, hedge_quantile=0.9).schedule(
-            _straggler_jobs(), tracer=tracer)
-        names = {e.name for e in tracer.events}
-        assert "job:huge" in names
-        # Fault-free, the backup never starts, so no hedge span; with a
-        # timed-out primary it must appear.
-        plan = FaultPlan(self.SEED, compile_timeout_rate=0.4)
-        tracer2 = Tracer()
-        CompileCluster(nodes=4, max_attempts=3,
-                       hedge_quantile=0.9).schedule(
-            _straggler_jobs(), faults=plan.compile_faults(),
-            tracer=tracer2)
-        assert any(e.name == "hedge:huge" for e in tracer2.events)

@@ -3,8 +3,8 @@
 Framing, routing, the server/client protocol, and every robustness
 layer in isolation: retry budgets with backoff, transport fault
 injection, breaker quarantine with half-open probes, degraded-mode
-fallback with write-behind reconciliation, and hedged reads.  Plus
-concurrent writers whose overlapping puts a cold reader must find.
+fallback with write-behind reconciliation.  Plus concurrent writers
+whose overlapping puts a cold reader must find.
 """
 
 import socket
@@ -750,43 +750,6 @@ class TestErroringShardDegrades:
             client.put(KEYS[2], art(2))
         with pytest.raises(StoreError, match="rejected get"):
             client.get(KEYS[3])
-        client.close()
-
-
-# --------------------------------------------------------------------------
-# hedged reads
-# --------------------------------------------------------------------------
-
-
-class TestHedgedReads:
-    def test_straggler_read_is_hedged(self, fleet):
-        urls = [server.url for server in fleet]
-        seed_client = fast_client(urls)
-        for i, key in enumerate(KEYS[:8]):
-            seed_client.put(key, art(i))
-        seed_client.close()
-
-        # Every request stalls 10-50 ms (a deterministic injected
-        # delay), far past the hedge threshold: a warm loopback read
-        # alone can finish inside the 0.1 ms floor.
-        plan = FaultPlan(seed=7, transport_delay_rate=1.0)
-        client = ShardedStoreClient(urls, retries=2,
-                                    backoff_base=0.001,
-                                    hedge_quantile=0.0,
-                                    faults=plan.transport_faults())
-        # Prefill the latency window with near-zero samples so the
-        # hedge threshold collapses to its 0.1ms floor.
-        client._latencies.extend([1e-9] * 8)
-        for i, key in enumerate(KEYS[:8]):
-            assert client.get(key) == art(i)
-        assert client.stats()["remote_hits"] == 8
-        assert client.hedged_reads >= 1
-        client.close()
-
-    def test_hedging_disabled_by_default(self, fleet):
-        urls = [server.url for server in fleet]
-        client = fast_client(urls)
-        assert client._hedge_threshold() is None
         client.close()
 
 

@@ -182,9 +182,9 @@ class TestCircuitBreaker:
         assert exc_info.value.failures == 3
 
     def test_half_open_admits_exactly_one_probe_across_threads(self):
-        """The client shares one breaker between the engine thread,
-        hedge workers and the reconciler; after a cooldown, exactly one
-        of them may be admitted as the half-open probe."""
+        """The client shares one breaker between the request workers'
+        engines and the reconciler; after a cooldown, exactly one of
+        them may be admitted as the half-open probe."""
         import threading
 
         clock = [0.0]

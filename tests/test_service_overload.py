@@ -196,12 +196,16 @@ class TestBrownout:
     def _controller(self, **kwargs):
         clock = FakeClock()
         tracer = Tracer()
-        transitions = []
         ctrl = AdmissionController(
             max_queued=10, brownout_high=4.0, brownout_low=1.0,
-            on_brownout=transitions.append, clock=clock,
-            tracer=tracer, **kwargs)
-        return ctrl, clock, tracer, transitions
+            clock=clock, tracer=tracer, **kwargs)
+        return ctrl, clock, tracer
+
+    @staticmethod
+    def _transitions(tracer):
+        """Brownout enters (True) and exits (False), in trace order."""
+        return [e.name == "brownout:enter" for e in tracer.events
+                if e.name in ("brownout:enter", "brownout:exit")]
 
     def _sustain(self, ctrl, clock, depth, seconds=30.0, step=0.5):
         for _ in range(int(seconds / step)):
@@ -209,19 +213,19 @@ class TestBrownout:
             ctrl.observe(depth)
 
     def test_single_burst_does_not_trip(self):
-        ctrl, clock, _, transitions = self._controller()
+        ctrl, clock, tracer = self._controller()
         ctrl.observe(9)                    # one spike, no sustain
         assert not ctrl.brownout
-        assert transitions == []
+        assert self._transitions(tracer) == []
 
     def test_sustained_overload_enters_and_recovers(self):
-        ctrl, clock, tracer, transitions = self._controller()
+        ctrl, clock, tracer = self._controller()
         self._sustain(ctrl, clock, depth=9)
         assert ctrl.brownout
-        assert transitions == [True]
+        assert self._transitions(tracer) == [True]
         self._sustain(ctrl, clock, depth=0, seconds=60.0)
         assert not ctrl.brownout
-        assert transitions == [True, False]
+        assert self._transitions(tracer) == [True, False]
         names = [e.name for e in tracer.events if e.kind == "instant"]
         assert names == ["brownout:enter", "brownout:exit"]
         snap = ctrl.snapshot()
@@ -230,12 +234,12 @@ class TestBrownout:
 
     def test_hysteresis_no_flapping_between_watermarks(self):
         """Depth between low and high must not toggle the mode."""
-        ctrl, clock, _, transitions = self._controller()
+        ctrl, clock, tracer = self._controller()
         self._sustain(ctrl, clock, depth=9)
-        assert transitions == [True]
+        assert self._transitions(tracer) == [True]
         self._sustain(ctrl, clock, depth=2, seconds=120.0)  # 1 < 2 < 4
         assert ctrl.brownout
-        assert transitions == [True]
+        assert self._transitions(tracer) == [True]
 
     def test_defaults_derive_from_max_queued(self):
         ctrl = AdmissionController(max_queued=100, clock=FakeClock())
@@ -244,12 +248,12 @@ class TestBrownout:
 
 
 class TestBrownoutService:
-    """Brownout wired through the service: -O0 rerouting + hedging."""
+    """Brownout wired through the service: -O0 rerouting."""
 
-    def _browned_out_service(self, **config):
+    def _browned_out_service(self):
         svc = CompileService(ServiceConfig(
             slots=1, max_queued=100, brownout_high=0.5,
-            brownout_low=0.1, **config))
+            brownout_low=0.1))
         # Force the EWMA over the (tiny) high watermark.
         for _ in range(100):
             svc.admission.observe(50)
@@ -271,31 +275,6 @@ class TestBrownoutService:
             outcome = svc.compile(CompileRequest(
                 app=APP, flow="o0", effort=EFFORT), timeout=300)
             assert not outcome.brownout
-
-    def test_brownout_disables_store_hedging(self):
-        class HedgyStore:
-            hedge_quantile = 0.9
-
-        svc = CompileService(ServiceConfig(
-            slots=1, hedge_quantile=0.9))
-        svc.fleet = HedgyStore()
-        try:
-            svc._on_brownout(True)
-            assert svc.fleet.hedge_quantile is None
-            svc._on_brownout(False)
-            assert svc.fleet.hedge_quantile == 0.9
-        finally:
-            svc.fleet = None
-            svc.close()
-
-    def test_make_flow_skips_cluster_hedge_in_brownout(self):
-        with self._browned_out_service(hedge_quantile=0.9) as svc:
-            flow = svc.make_flow("o1", EFFORT)
-            assert flow.cluster.hedge_quantile is None
-        with CompileService(ServiceConfig(
-                slots=1, hedge_quantile=0.9)) as svc:
-            flow = svc.make_flow("o1", EFFORT)
-            assert flow.cluster.hedge_quantile == 0.9
 
 
 # -- the deterministic flood (acceptance scenario) ----------------------------
